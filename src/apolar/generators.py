@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .complexes import complex_of, minimal_nonfaces
 from .errors import GuardExceeded
+from .linalg import first_nonzero, integer_row, row_step
 from .monomials import ExponentVector, enumerate_exponents, monomial_count
 from .polynomials import (
     DUAL_BASIS,
@@ -75,46 +77,37 @@ def _difference(p1: GradedPolynomial, p2: GradedPolynomial) -> GradedPolynomial:
 
 
 class _Span:
-    """Incremental row space over a fixed monomial basis (row echelon form)."""
+    """Incremental row space over a fixed monomial basis, in integer echelon
+    form: one primitive row per leading column."""
 
     def __init__(self, basis: tuple[ExponentVector, ...]):
-        self.basis = basis
         self.index = {m: t for t, m in enumerate(basis)}
-        self.rows: dict[int, list[Fraction]] = {}
+        self.rows: dict[int, list[int]] = {}
 
-    def _vector(self, poly: GradedPolynomial) -> list[Fraction]:
-        v = [_ZERO] * len(self.basis)
-        for e, c in poly.terms.items():
+    def _reduce(self, poly: GradedPolynomial) -> tuple[int | None, list[int]]:
+        """Leading column (None when in the span) and reduced vector of poly."""
+        v = [0] * len(self.index)
+        for e, c in zip(poly.terms, integer_row(poly.terms.values())):
             v[self.index[e]] = c
-        return v
-
-    def _reduce(self, v: list[Fraction]) -> list[Fraction]:
-        for pivot in sorted(self.rows):
-            if v[pivot]:
-                f = v[pivot]
-                row = self.rows[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+        lead = first_nonzero(v)
+        while lead in self.rows:
+            row = self.rows[lead]
+            g = gcd(row[lead], v[lead])
+            v = row_step(row[lead] // g, v, v[lead] // g, row)
+            lead = first_nonzero(v)
+        return lead, v
 
     def add(self, poly: GradedPolynomial) -> bool:
         """Insert unless already in the span; returns True when new."""
-        v = self._reduce(self._vector(poly))
-        for pivot, value in enumerate(v):
-            if value:
-                new_row = [x / value for x in v]
-                # keep rows mutually reduced so _reduce terminates in one pass
-                for other_pivot, row in self.rows.items():
-                    if row[pivot]:
-                        f = row[pivot]
-                        self.rows[other_pivot] = [
-                            a - f * b for a, b in zip(row, new_row)
-                        ]
-                self.rows[pivot] = new_row
-                return True
-        return False
+        lead, v = self._reduce(poly)
+        if lead is None:
+            return False
+        g = gcd(*v)
+        self.rows[lead] = [x // g for x in v]
+        return True
 
     def contains(self, poly: GradedPolynomial) -> bool:
-        return not any(self._reduce(self._vector(poly)))
+        return self._reduce(poly)[0] is None
 
     @property
     def dimension(self) -> int:

@@ -1,16 +1,22 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals, by integer elimination.
 
-Everything here is `fractions.Fraction` arithmetic; there is no floating
-point anywhere in this package.  Elimination picks pivots by numerator plus
-denominator bit length to keep intermediate coefficients small.  The reduced
-row echelon form is unique, so ranks and kernel bases are deterministic:
-identical inputs give bit-identical outputs.
+Entries are ``int`` or ``fractions.Fraction``, with no floating point
+anywhere.  Rows are scaled to integers by the lcm of their denominators, and
+one exact row step, ``(p * row - a * pivot) / q``, serves Bareiss elimination
+(Math. Comp. 22, 1968: ``q`` is the previous pivot, so entries stay minors of
+the input) for ``rank``, its Gauss-Jordan form, divided once at the end, for
+``kernel_basis``, and the incremental echelon in ``generators._Span``.  The
+reduced row echelon form is unique, so identical inputs give identical
+outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
+from math import lcm
+from typing import Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -18,11 +24,11 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense rational matrix; ``entries`` is row-major and immutable."""
+    """Dense rational matrix; ``entries``: row-major ints and Fractions."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -44,15 +50,15 @@ class RationalMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix(rows, cols, (_ZERO,) * (rows * cols))
+        return RationalMatrix(rows, cols, (0,) * (rows * cols))
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_lists(self) -> list[list[Fraction]]:
+    def to_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def times_vector(self, v) -> tuple[Fraction, ...]:
@@ -64,74 +70,73 @@ class RationalMatrix:
         )
 
 
-def _pivot_size(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
+def integer_row(values) -> Sequence[int]:
+    """The row as integers: scaled by the lcm of its denominators, if any."""
+    if set(map(type, values)) <= {int}:
+        return values
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list).
+def first_nonzero(row) -> int | None:
+    """Index of the first nonzero entry, or None for a zero row."""
+    return next(compress(count(), row), None)
 
-    Pivot columns are the leftmost possible (making the result the unique
-    RREF); within a column the pivot row is chosen with the smallest
-    numerator/denominator bit length to limit coefficient growth.
-    """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        best = -1
-        best_size = 0
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v:
-                size = _pivot_size(v)
-                if best < 0 or size < best_size:
-                    best, best_size = i, size
-        if best < 0:
-            continue
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-        pv = rows[r][c]
-        if pv != _ONE:
-            rows[r] = [x / pv for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+
+def row_step(p: int, row, a: int, pivot, q: int = 1) -> list[int]:
+    """The row step of every elimination: ``(p * row - a * pivot) / q``, exact."""
+    return [(p * x - a * y) // q for x, y in zip(row, pivot)]
+
+
+def _eliminate(rows, jordan: bool) -> tuple[list, int]:
+    """Bareiss elimination of integer rows: the pivot rows, leftmost pivot
+    first, and the last pivot.  With ``jordan`` the pivot rows divided by the
+    last pivot are the reduced row echelon form."""
+    buckets: dict[int, list] = {}  # leading column -> rows
+    for row in rows:
+        row = integer_row(row)
+        lead = first_nonzero(row)
+        if lead is not None:
+            buckets.setdefault(lead, []).append(row)
+    prev, done = 1, []
+    while buckets:
+        c = min(buckets)
+        prow, *others = buckets.pop(c)
+        p = prow[c]
+        if p != prev:  # rows with zero in column c are scaled by p / prev
+            for group in buckets.values():
+                group[:] = [[x * p // prev for x in row] for row in group]
+        for row in others:
+            row = row_step(p, row, row[c], prow, prev)
+            lead = first_nonzero(row)
+            if lead is not None:
+                buckets.setdefault(lead, []).append(row)
+        if jordan:
+            done = [row_step(p, row, row[c], prow, prev) for row in done]
+        done.append(prow)
+        prev = p
+    return done, prev
 
 
 def rank(m: RationalMatrix) -> int:
     """Rank over the rationals, computed exactly."""
-    _, pivots = rref(m.to_lists())
-    return len(pivots)
+    return len(_eliminate(map(m.row, range(m.rows)), jordan=False)[0])
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of the right null space.
-
-    The free-variable spanning set is re-reduced so the returned rows are the
-    unique RREF of the kernel: pivot entries 1, lexicographically smallest
-    pivot positions, deterministic order.  A matrix with zero rows has the
-    full space as kernel (standard basis).
+    """Canonical basis of the right null space: its unique RREF (pivot entries
+    1, lexicographically smallest pivot positions, deterministic order).  A
+    matrix with zero rows has the full space as kernel (standard basis).
     """
-    reduced, pivots = rref(m.to_lists())
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    spanning: list[list[Fraction]] = []
-    for fc in free:
-        v = [_ZERO] * m.cols
-        v[fc] = _ONE
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -reduced[r_idx][fc]
-        spanning.append(v)
-    canonical, _ = rref(spanning)
-    return [tuple(row) for row in canonical]
+    # The free-variable vectors of the column-reversed RREF, read back in the
+    # original order, have their 1 leftmost and are zero at every other free
+    # column: they already are the kernel's RREF.
+    done, last = _eliminate((m.row(i)[::-1] for i in range(m.rows)), jordan=True)
+    reduced = {first_nonzero(row): row for row in done}
+    basis = []
+    for free in reversed(range(m.cols)):
+        if free not in reduced:
+            v = {pc: Fraction(-row[free], last) for pc, row in reduced.items()}
+            v[free] = _ONE
+            basis.append(tuple(v.get(t, _ZERO) for t in reversed(range(m.cols))))
+    return basis

@@ -18,7 +18,6 @@ closed form, the discrepancy is reported verbatim, never patched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import GuardExceeded
 from .linalg import RationalMatrix, rank
@@ -32,9 +31,6 @@ from .monomials import (
     lift_image_positions,
     monomial_count,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DEFAULT_ENUMERATION_GUARD = 20
 DEFAULT_MATRIX_GUARD = 20000
@@ -155,10 +151,10 @@ def _unit_matrix_from_images(
 ) -> RationalMatrix:
     """Matrix with a single 1 in column c at row images[c] (None = zero column)."""
     cols = len(images)
-    flat = [_ZERO] * (n_rows * cols)
+    flat = [0] * (n_rows * cols)
     for c, r in enumerate(images):
         if r is not None:
-            flat[r * cols + c] = _ONE
+            flat[r * cols + c] = 1
     return RationalMatrix(n_rows, cols, tuple(flat))
 
 

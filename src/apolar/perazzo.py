@@ -16,6 +16,7 @@ from the seed, never impossible by construction.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -195,10 +196,6 @@ def _standard_draw(seed: int, trial: int, basis, num_vars: int) -> Optional[Grad
     return None
 
 
-def _format_exponents(exps: ExponentVector) -> str:
-    return format_monomial(exps)
-
-
 def _conjecture_trial(args) -> dict:
     seed, trial, num_vars, d, reference = args
     basis = enumerate_exponents(num_vars, d)
@@ -212,10 +209,17 @@ def _conjecture_trial(args) -> dict:
         out["violator"] = {
             "hilbert": list(h),
             "coefficients": [
-                [_format_exponents(e), str(c)] for e, c in sorted(f.terms.items())
+                [format_monomial(e), str(c)] for e, c in sorted(f.terms.items())
             ],
         }
     return out
+
+
+def worker_count(jobs: int, trials: int, cpus: int | None) -> int:
+    """``min(jobs, cpus, trials)`` workers, at least 1; ``jobs`` below 1 is refused."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return max(1, min(jobs, cpus or 1, trials))
 
 
 def conjecture_sample_check(
@@ -231,16 +235,17 @@ def conjecture_sample_check(
     Draws standard polynomials of the matching codimension and socle degree
     and tallies their Hilbert vectors against the full Perazzo one.  The
     report is a stable JSON-ready dict: byte-identical for identical inputs,
-    regardless of ``jobs``.
+    regardless of ``jobs``, which :func:`worker_count` bounds.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    workers = worker_count(jobs, trials, os.cpu_count())
     num_vars = n + monomial_count(n, d - 1)
     _guard_catalecticants(num_vars, d, max_dim)
     reference = full_perazzo_hilbert(n, d, max_dim=max_dim)
     work = [(seed, t, num_vars, d, reference) for t in range(trials)]
-    if jobs > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_conjecture_trial, work, chunksize=16))
     else:
         results = [_conjecture_trial(w) for w in work]
@@ -304,13 +309,13 @@ def coefficient_one_minimality_check(
                     "trial": trial,
                     "hilbert": list(h_random),
                     "coefficients": [
-                        [_format_exponents(e), str(c)]
+                        [format_monomial(e), str(c)]
                         for e, c in sorted(terms.items())
                     ],
                 }
             )
     return {
-        "support": [_format_exponents(m) for m in support],
+        "support": [format_monomial(m) for m in support],
         "num_vars": num_vars,
         "standard": is_standard(ones),
         "hilbert_ones": list(h_ones),

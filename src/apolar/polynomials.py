@@ -24,13 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional
 
 from .linalg import RationalMatrix, kernel_basis, rank
 from .monomials import ExponentVector, enumerate_exponents, monomial_count
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class PairingConvention(Enum):
@@ -115,16 +115,16 @@ def _falling(b: int, a: int) -> int:
     return out
 
 
-def _pair_coefficient(op_exps, target_exps, convention: PairingConvention) -> Optional[Fraction]:
+def _pair_coefficient(op_exps, target_exps, convention: PairingConvention) -> Optional[int]:
     """Coefficient of x^(target - op) in op(x^target), or None when it dies."""
     if any(o > t for o, t in zip(op_exps, target_exps)):
         return None
     if convention is DUAL_BASIS:
-        return _ONE
+        return 1
     c = 1
     for o, t in zip(op_exps, target_exps):
         c *= _falling(t, o)
-    return Fraction(c)
+    return c
 
 
 def contract(
@@ -161,23 +161,24 @@ def catalecticant_matrix(
     """Matrix of "apply to f" from degree-j operators to degree-(d-j) polynomials.
 
     Rows are indexed by the degree-(d-j) basis, columns by the degree-j basis,
-    both in the pinned ascending lex order.
+    both in the pinned ascending lex order.  Entries are ``int`` where
+    integral and ``Fraction`` otherwise.
     """
     if not 0 <= j <= f.degree:
         raise ValueError(f"degree {j} outside 0..{f.degree}")
     n = f.num_vars
     row_basis = enumerate_exponents(n, f.degree - j)
     col_basis = enumerate_exponents(n, j)
-    flat: list[Fraction] = []
+    coeffs = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
+    flat: list = []
     for r in row_basis:
         for c in col_basis:
-            target = tuple(ri + ci for ri, ci in zip(r, c))
-            coeff = f.terms.get(target)
-            if coeff is None:
-                flat.append(_ZERO)
-                continue
-            scale = _pair_coefficient(c, target, convention)
-            flat.append(coeff * scale)
+            target = tuple(map(add, r, c))
+            coeff = coeffs.get(target, 0)
+            if coeff and convention is not DUAL_BASIS:
+                # x^c divides x^target, so the scale is never None
+                coeff *= _pair_coefficient(c, target, convention)
+            flat.append(coeff)
     return RationalMatrix(len(row_basis), len(col_basis), tuple(flat))
 
 

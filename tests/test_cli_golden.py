@@ -1,0 +1,71 @@
+"""Golden SHA-256 digests of CLI stdout.
+
+Each digest was recorded from the ``Fraction`` elimination that preceded the
+integer elimination core, so these tests check that the core changed no
+output byte: ranks (``hilbert``, ``locus maps``, ``conjecture``), canonical
+kernels (``ann``) and the incremental span (``generators``).
+"""
+
+import hashlib
+
+import pytest
+
+from apolar.cli import main
+
+F25 = "x1^5 - 2*x1^3*x2^2 + 3/4*x1^2*x2^3 + 7*x2^5"
+F34 = "x1^4 + 2*x1^2*x2*x3 - 5/3*x1*x2^3 + x1*x2*x3^2 + x2^2*x3^2 - 3*x3^4"
+G34 = "2*x1^3*x2 - 1/2*x1*x2^3 + 3*x2^2*x3^2 + x3^4"
+# pool form 109 of the benchmark, which reads "verified": false
+C33 = "x1^3 + x1^2*x2 + x1*x2*x3 + x1*x3^2 + x2^3 + x2^2*x3"
+CONJECTURE = ["conjecture", "--n", "2", "--d", "4", "--trials", "20", "--seed", "52004"]
+
+GOLDEN = {
+    "hilbert-2-5": (
+        ["hilbert", "--poly", F25, "--nvars", "2"],
+        "5e3e4543f57275c82a3c1442d4e7c8202d92484b22e22c01b8c66bab62167280",
+    ),
+    "hilbert-3-4": (
+        ["hilbert", "--poly", F34, "--nvars", "3"],
+        "a93bae5f6738e45003aa745b360c12b2eb5669b77c5e04f986ec73be28c2c239",
+    ),
+    "hilbert-3-4-diff": (
+        ["hilbert", "--poly", F34, "--nvars", "3", "--convention", "diff"],
+        "a93bae5f6738e45003aa745b360c12b2eb5669b77c5e04f986ec73be28c2c239",
+    ),
+    "ann-dual": (
+        ["ann", "--poly", G34, "--nvars", "3", "--degree", "3", "--convention", "dual"],
+        "bf815a77fac3e35c359a9125626f0946d407f36373f4cf1c212997cc3cb4e993",
+    ),
+    "ann-diff": (
+        ["ann", "--poly", G34, "--nvars", "3", "--degree", "3", "--convention", "diff"],
+        "74e9b008227b308d69dc38fc943a2584e5d8f7ab5fe4011322852f78e11454ea",
+    ),
+    "generators-3-3": (
+        ["generators", "--poly", C33, "--nvars", "3"],
+        "5012c5a04d6c758a7c67c8b9d382b8055ab0188310bf4c636222979eb7e995fe",
+    ),
+    "generators-3-3-verified": (
+        ["generators", "--poly", "x1^2*x2 + x1*x3^2 + x2^3 + x2*x3^2", "--nvars", "3"],
+        "ba1734389518a12c617d231ae52f5b18a719bdfd97116a86e5dcd3792421e4ac",
+    ),
+    "locus-maps-3-4": (
+        ["locus", "maps", "--n", "3", "--d", "4"],
+        "d4836f242e442a9dd7a32e04e61e199ad3d263fccb2d3cc3f2de8cec526abaa0",
+    ),
+    "conjecture-jobs1": (
+        CONJECTURE + ["--jobs", "1"],
+        "e12aed43f8612bed6cadaa78b887ab7b3f91f7e5f51e818078ee3c408f565ab1",
+    ),
+    "conjecture-jobs2": (
+        CONJECTURE + ["--jobs", "2"],
+        "e12aed43f8612bed6cadaa78b887ab7b3f91f7e5f51e818078ee3c408f565ab1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_stdout_matches_golden_digest(name, capsys):
+    argv, digest = GOLDEN[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

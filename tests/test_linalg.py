@@ -1,8 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from apolar.generators import _Span
 from apolar.linalg import RationalMatrix, kernel_basis, rank
+from apolar.monomials import enumerate_exponents
+from apolar.polynomials import GradedPolynomial, annihilator_basis
 from apolar.rng import substream
 
 from oracles import row_reduce_rank
@@ -113,3 +118,125 @@ def test_kernel_deterministic_bit_for_bit():
 def test_entry_count_validation():
     with pytest.raises(ValueError):
         RationalMatrix(2, 2, (Fraction(1),))
+
+
+# The canonical kernels pinned above, for the same matrices given with int
+# entries, with int and Fraction entries mixed, and with non-integral
+# entries (each row scaled by a nonzero rational).
+_PINNED_KERNELS = [
+    (
+        (2, 2, (1, 1, 2, 2)),
+        (2, 2, (1, Fraction(1), 2, Fraction(2))),
+        (2, 2, (Fraction(1, 3), Fraction(1, 3), Fraction(-2, 5), Fraction(-2, 5))),
+        [(Fraction(1), Fraction(-1))],
+    ),
+    (
+        (1, 3, (1, 0, 0)),
+        (1, 3, (Fraction(1), 0, Fraction(0))),
+        (1, 3, (Fraction(7, 2), 0, 0)),
+        [
+            (Fraction(0), Fraction(1), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(1)),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_PINNED_KERNELS)))
+def test_kernel_is_exact_for_int_mixed_and_fractional_entries(case):
+    *shapes, expected = _PINNED_KERNELS[case]
+    for rows, cols, entries in shapes:
+        basis = kernel_basis(RationalMatrix(rows, cols, entries))
+        assert basis == expected
+        assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def test_annihilator_basis_is_exact_for_int_mixed_and_fractional_coefficients():
+    # x1^2 + x1*x2 in degree 2: the canonical basis of span{X2^2, X1^2 - X1*X2}
+    # over the lex basis (X2^2, X1*X2, X1^2)
+    expected = [{(0, 2): 1}, {(1, 1): 1, (2, 0): -1}]
+    for terms in (
+        {(2, 0): 1, (1, 1): 1},
+        {(2, 0): 1, (1, 1): Fraction(1)},
+        {(2, 0): Fraction(-3, 4), (1, 1): Fraction(-3, 4)},
+    ):
+        f = GradedPolynomial(2, 2, terms)
+        basis = annihilator_basis(f, 2)
+        assert [op.terms for op in basis] == expected
+        assert all(type(c) is Fraction for op in basis for c in op.terms.values())
+
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8)),
+)
+
+
+@st.composite
+def _matrices(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    data = [[draw(_entries) for _ in range(cols)] for _ in range(rows)]
+    # sometimes a dependent row, a zero row and a zero column
+    if rows > 2 and draw(st.booleans()):
+        a, b = draw(_entries), draw(_entries)
+        data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
+    if rows and cols and draw(st.booleans()):
+        data[draw(st.integers(0, rows - 1))] = [0] * cols
+    if rows and cols and draw(st.booleans()):
+        zero_col = draw(st.integers(0, cols - 1))
+        for row in data:
+            row[zero_col] = 0
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+# the second pivot row is zero in the first pivot column: the first step
+# must still scale it by the first pivot
+@example([[0, 1, 0], [2, -1, -1], [1, 0, 0]])
+def test_rank_agrees_with_the_oracle(data):
+    cols = len(data[0]) if data else 0
+    m = RationalMatrix(len(data), cols, tuple(x for row in data for x in row))
+    assert rank(m) == row_reduce_rank(data)
+    assert rank(m) + len(kernel_basis(m)) == cols
+
+
+_nonzero = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 8)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_span_dimension_and_membership_agree_with_the_oracle(data):
+    n, j = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    basis = enumerate_exponents(n, j)
+    operator_terms = st.dictionaries(st.sampled_from(basis), _nonzero, min_size=1)
+    polys = [
+        GradedPolynomial(n, j, terms)
+        for terms in data.draw(st.lists(operator_terms, max_size=8))
+    ]
+
+    def vector(poly):
+        return [poly.terms.get(m, 0) for m in basis]
+
+    if len(polys) > 1 and data.draw(st.booleans()):
+        # a combination of two inserted operators, zero included
+        a, b = data.draw(_nonzero), data.draw(_nonzero)
+        combo = [a * x + b * y for x, y in zip(vector(polys[0]), vector(polys[-1]))]
+        candidate = GradedPolynomial(
+            n, j, {m: c for m, c in zip(basis, combo) if c}
+        )
+    else:
+        candidate = GradedPolynomial(n, j, data.draw(operator_terms))
+
+    span = _Span(basis)
+    for poly in polys:
+        span.add(poly)
+    stacked = [vector(p) for p in polys]
+    assert span.dimension == row_reduce_rank(stacked)
+    inside = row_reduce_rank(stacked + [vector(candidate)]) == span.dimension
+    assert span.contains(candidate) == inside
+    assert span.add(candidate) == (not inside)

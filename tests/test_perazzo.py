@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from apolar.cli import main
 from apolar.monomials import monomial_count
 from apolar.perazzo import (
     PerazzoSpec,
@@ -13,6 +14,7 @@ from apolar.perazzo import (
     full_perazzo_hilbert,
     hilbert_h2,
     is_bihomogeneous,
+    worker_count,
 )
 from apolar.polynomials import (
     annihilator_basis,
@@ -200,3 +202,29 @@ def test_full_perazzo_maximizes_degree2_annihilator(n, d, draws):
         f"sampled max {max(observed)}, min {min(observed)}, draws {draws}"
     )
     assert max(observed) <= reference
+
+
+def test_worker_count_clamps_to_cpus_and_trials():
+    assert worker_count(1, 500, 8) == 1
+    assert worker_count(4, 500, 8) == 4
+    assert worker_count(64, 500, 8) == 8
+    assert worker_count(64, 3, 8) == 3
+    assert worker_count(4, 0, 8) == 1
+    assert worker_count(4, 1, 8) == 1
+    assert worker_count(4, 500, None) == 1
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_worker_count_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        worker_count(jobs, 500, 8)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(jobs, capsys):
+    # rejected before any trial runs or any worker starts
+    argv = ["conjecture", "--n", "2", "--d", "3", "--trials", "4", "--seed", "1"]
+    assert main(argv + ["--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"jobs must be at least 1, got {jobs}" in captured.err

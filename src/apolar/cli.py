@@ -26,11 +26,10 @@ from .complexes import (
     minimal_nonfaces,
     skeleton_count,
 )
-from .errors import GuardExceeded, InternalInvariantError
+from .errors import DEFAULT_MATRIX_GUARD, GuardExceeded, InternalInvariantError
 from .generators import extract_generators, verify_generators
 from .locus import (
     DEFAULT_ENUMERATION_GUARD,
-    DEFAULT_MATRIX_GUARD,
     enumerate_admissible_supports,
     projection_map_report,
     support_conditions,

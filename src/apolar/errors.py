@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types and the default resource guard."""
+
+# Largest catalecticant or projection-map dimension a command builds unless
+# its ``max_dim`` parameter or ``--max-dim`` flag says otherwise.
+DEFAULT_MATRIX_GUARD = 20000
 
 
 class GuardExceeded(Exception):

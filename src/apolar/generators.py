@@ -17,8 +17,8 @@ whole annihilator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .complexes import complex_of, minimal_nonfaces
 from .errors import GuardExceeded
@@ -28,12 +28,11 @@ from .polynomials import (
     DUAL_BASIS,
     GradedPolynomial,
     annihilator_dimension,
+    catalecticant_matrix,
     contract,
     graded_polynomial,
     monomial_poly,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass
@@ -68,27 +67,27 @@ class GeneratorSet:
 def _difference(p1: GradedPolynomial, p2: GradedPolynomial) -> GradedPolynomial:
     terms = dict(p1.terms)
     for e, c in p2.terms.items():
-        value = terms.get(e, _ZERO) - c
-        if value:
-            terms[e] = value
-        else:
-            terms.pop(e, None)
+        terms[e] = terms.get(e, 0) - c  # graded_polynomial drops the zeros
     return graded_polynomial(p1.num_vars, terms)
 
 
 class _Span:
     """Incremental row space over a fixed monomial basis, in integer echelon
-    form: one primitive row per leading column."""
+    form: one primitive row per leading column.  Vectors are ``int`` lists
+    indexed by ``index``, the position of each basis monomial."""
 
     def __init__(self, basis: tuple[ExponentVector, ...]):
         self.index = {m: t for t, m in enumerate(basis)}
         self.rows: dict[int, list[int]] = {}
 
-    def _reduce(self, poly: GradedPolynomial) -> tuple[int | None, list[int]]:
-        """Leading column (None when in the span) and reduced vector of poly."""
+    def _vector(self, poly: GradedPolynomial) -> list[int]:
         v = [0] * len(self.index)
         for e, c in zip(poly.terms, integer_row(poly.terms.values())):
             v[self.index[e]] = c
+        return v
+
+    def _reduce(self, v: list[int]) -> tuple[int | None, list[int]]:
+        """Leading column (None when in the span) and reduced vector of v."""
         lead = first_nonzero(v)
         while lead in self.rows:
             row = self.rows[lead]
@@ -97,29 +96,24 @@ class _Span:
             lead = first_nonzero(v)
         return lead, v
 
-    def add(self, poly: GradedPolynomial) -> bool:
+    def add_vector(self, v: list[int]) -> bool:
         """Insert unless already in the span; returns True when new."""
-        lead, v = self._reduce(poly)
+        lead, v = self._reduce(v)
         if lead is None:
             return False
         g = gcd(*v)
         self.rows[lead] = [x // g for x in v]
         return True
 
+    def add(self, poly: GradedPolynomial) -> bool:
+        return self.add_vector(self._vector(poly))
+
     def contains(self, poly: GradedPolynomial) -> bool:
-        return self._reduce(poly)[0] is None
+        return self._reduce(self._vector(poly))[0] is None
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
-
-
-def _shift(poly: GradedPolynomial, exps: ExponentVector) -> GradedPolynomial:
-    """Multiply an operator polynomial by a monomial."""
-    terms = {
-        tuple(a + b for a, b in zip(e, exps)): c for e, c in poly.terms.items()
-    }
-    return GradedPolynomial(poly.num_vars, poly.degree + sum(exps), terms)
 
 
 def _ideal_span(
@@ -129,11 +123,16 @@ def _ideal_span(
 ) -> _Span:
     """Span of all degree-j monomial multiples of the given generators."""
     span = _Span(enumerate_exponents(n, j))
+    index, size = span.index, len(span.index)
     for degree, poly in generators:
         if degree > j:
             continue
+        terms = tuple(zip(poly.terms, integer_row(poly.terms.values())))
         for m in enumerate_exponents(n, j - degree):
-            span.add(_shift(poly, m))
+            v = [0] * size
+            for e, c in terms:
+                v[index[tuple(map(add, e, m))]] = c
+            span.add_vector(v)
     return span
 
 
@@ -146,25 +145,22 @@ def contraction_image_classes(
 
     Polynomials are identified with their supports (nonempty subsets of the
     monomials that do not annihilate ``f``); two belong to the same class
-    exactly when they contract ``f`` to the same polynomial.  Classes and
-    members come back sorted, so the result is deterministic.
+    exactly when they contract ``f`` to the same polynomial.  The image of
+    the degree-j monomial X^c is column c of the catalecticant C_j, so a
+    support's image is the sum of its columns; a Gray-code scan adds or
+    subtracts one column per subset.  Classes and members come back sorted,
+    so the result is deterministic.
     """
     if not 1 <= j <= f.degree:
         raise ValueError(f"degree {j} outside 1..{f.degree}")
-    n = f.num_vars
-    target = enumerate_exponents(n, f.degree - j)
-    target_index = {m: t for t, m in enumerate(target)}
+    c_j = catalecticant_matrix(f, j, DUAL_BASIS)
     cells = []
     images = []
-    for m in enumerate_exponents(n, j):
-        image = contract(monomial_poly(n, m), f)
-        if image.is_zero():
-            continue
-        vec = [_ZERO] * len(target)
-        for e, c in image.terms.items():
-            vec[target_index[e]] = c
-        cells.append(m)
-        images.append(vec)
+    for c, m in enumerate(enumerate_exponents(f.num_vars, j)):
+        column = [(r, x) for r, x in enumerate(c_j.column(c)) if x]
+        if column:
+            cells.append(m)
+            images.append(column)
     count = len(cells)
     if count and (1 << count) > max_subsets:
         raise GuardExceeded(
@@ -172,24 +168,22 @@ def contraction_image_classes(
             f"guard of {max_subsets}; raise max_subsets to override"
         )
     groups: dict[tuple, list[int]] = {}
-    running = [_ZERO] * len(target)
+    running = [0] * c_j.rows
     gray = 0
     for i in range(1, 1 << count):
         bit = (i & -i).bit_length() - 1
         gray ^= 1 << bit
-        sign = 1 if gray & (1 << bit) else -1
-        vec = images[bit]
-        for t in range(len(target)):
-            if vec[t]:
-                running[t] += vec[t] if sign > 0 else -vec[t]
+        if gray >> bit & 1:
+            for r, x in images[bit]:
+                running[r] += x
+        else:
+            for r, x in images[bit]:
+                running[r] -= x
         groups.setdefault(tuple(running), []).append(gray)
-    classes = []
-    for masks in groups.values():
-        supports = sorted(
-            tuple(cells[b] for b in range(count) if mask >> b & 1)
-            for mask in masks
-        )
-        classes.append(supports)
+    supports = [()]  # supports[mask]: the cells of the set bits, in order
+    for m in cells:
+        supports += [s + (m,) for s in supports]
+    classes = [sorted(supports[mask] for mask in masks) for masks in groups.values()]
     classes.sort(key=lambda cls: cls[0])
     return classes
 
@@ -230,15 +224,17 @@ def extract_generators(
             continue
         pairs = []
         for cls in contraction_image_classes(f, j, max_subsets=max_subsets):
-            if len(cls) < 2:
-                continue
             for left, right in zip(cls, cls[1:]):
-                p1 = graded_polynomial(n, {e: 1 for e in left})
-                p2 = graded_polynomial(n, {e: 1 for e in right})
-                diff = _difference(p1, p2)
-                if span.add(diff):
+                v = [0] * len(span.index)
+                for e in left:
+                    v[span.index[e]] += 1
+                for e in right:
+                    v[span.index[e]] -= 1
+                if span.add_vector(v):
+                    p1 = graded_polynomial(n, {e: 1 for e in left})
+                    p2 = graded_polynomial(n, {e: 1 for e in right})
                     pairs.append((p1, p2))
-                    kept.append((j, diff))
+                    kept.append((j, _difference(p1, p2)))
         if pairs:
             differences[j] = tuple(pairs)
     top_span = _ideal_span(kept, n, d + 1)

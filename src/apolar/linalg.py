@@ -58,6 +58,9 @@ class RationalMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
+    def column(self, j: int) -> tuple:
+        return self.entries[j :: self.cols]
+
     def to_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 

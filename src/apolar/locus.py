@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GuardExceeded
+from .errors import DEFAULT_MATRIX_GUARD, GuardExceeded
 from .linalg import RationalMatrix, rank
 from .monomials import (
     ExponentVector,
@@ -33,7 +33,6 @@ from .monomials import (
 )
 
 DEFAULT_ENUMERATION_GUARD = 20
-DEFAULT_MATRIX_GUARD = 20000
 
 
 @dataclass(frozen=True)

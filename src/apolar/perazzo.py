@@ -17,12 +17,14 @@ from the seed, never impossible by construction.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GuardExceeded
+from .errors import DEFAULT_MATRIX_GUARD, GuardExceeded
+from .linalg import rank
 from .monomials import ExponentVector, enumerate_exponents, monomial_count
 from .parsing import format_monomial
 from .polynomials import (
@@ -31,16 +33,14 @@ from .polynomials import (
     HilbertOrder,
     PairingConvention,
     annihilator_dimension,
+    catalecticant_matrix,
     compare_hilbert,
-    contract,
     graded_polynomial,
     hilbert_vector,
     is_standard,
-    monomial_poly,
 )
 from .rng import substream
 
-DEFAULT_MATRIX_GUARD = 20000
 RESAMPLE_CAP = 50
 
 
@@ -146,25 +146,20 @@ def degree2_census(f: GradedPolynomial) -> Degree2Census:
     """Count monomial, binomial and leftover generators of the degree-2
     annihilator slice.
 
-    Monomials annihilating ``f`` are independent basis vectors; binomials
-    (+1/-1 differences of distinct non-annihilating monomials with equal
-    image) contribute one less than each equal-image class size; whatever
-    dimension remains is classified as other.
+    The image of a quadratic monomial is its column of the catalecticant
+    C_2.  Monomials annihilating ``f`` (zero columns) are independent basis
+    vectors; binomials (+1/-1 differences of distinct non-annihilating
+    monomials with equal image) contribute one less than each equal-column
+    class size; whatever dimension remains is classified as other.
     """
     if f.degree < 2:
         raise ValueError("degree-2 census needs socle degree at least 2")
-    n = f.num_vars
-    total = annihilator_dimension(f, 2, DUAL_BASIS)
-    killed = 0
-    image_classes: dict[tuple, int] = {}
-    for m in enumerate_exponents(n, 2):
-        image = contract(monomial_poly(n, m), f, DUAL_BASIS)
-        if image.is_zero():
-            killed += 1
-            continue
-        key = tuple(sorted(image.terms.items()))
-        image_classes[key] = image_classes.get(key, 0) + 1
-    binomials = sum(size - 1 for size in image_classes.values())
+    c_2 = catalecticant_matrix(f, 2, DUAL_BASIS)
+    columns = map(c_2.column, range(c_2.cols))
+    images = Counter(column for column in columns if any(column))
+    killed = c_2.cols - sum(images.values())
+    binomials = sum(size - 1 for size in images.values())
+    total = c_2.cols - rank(c_2)
     other = total - killed - binomials
     return Degree2Census(killed, binomials, other, total)
 

@@ -17,6 +17,16 @@ F34 = "x1^4 + 2*x1^2*x2*x3 - 5/3*x1*x2^3 + x1*x2*x3^2 + x2^2*x3^2 - 3*x3^4"
 G34 = "2*x1^3*x2 - 1/2*x1*x2^3 + 3*x2^2*x3^2 + x3^4"
 # pool form 109 of the benchmark, which reads "verified": false
 C33 = "x1^3 + x1^2*x2 + x1*x2*x3 + x1*x3^2 + x2^3 + x2^2*x3"
+# pool forms 126 and 38, the two slowest generator forms of the benchmark;
+# their digests were recorded before the generators moved to integer vectors
+P126 = (
+    "x1^3*x2 + x1^3*x3 + x1^2*x2^2 + x1^2*x2*x3 + x1^2*x3^2 + x1*x2^3"
+    " + x1*x2*x3^2 + x1*x3^3 + x2^4 + x2^3*x3 + x3^4"
+)
+P38 = (
+    "x1^3*x3 + x1^2*x2^2 + x1*x2^2*x3 + x1*x2*x3^2 + x1*x3^3 + x2^4"
+    " + x2^3*x3 + x2^2*x3^2 + x2*x3^3 + x3^4"
+)
 CONJECTURE = ["conjecture", "--n", "2", "--d", "4", "--trials", "20", "--seed", "52004"]
 
 GOLDEN = {
@@ -47,6 +57,14 @@ GOLDEN = {
     "generators-3-3-verified": (
         ["generators", "--poly", "x1^2*x2 + x1*x3^2 + x2^3 + x2*x3^2", "--nvars", "3"],
         "ba1734389518a12c617d231ae52f5b18a719bdfd97116a86e5dcd3792421e4ac",
+    ),
+    "generators-pool-126": (
+        ["generators", "--poly", P126, "--nvars", "3"],
+        "989929435648f4b28447725ae9ba6ada745e0baf6e040795e2959cd91162e665",
+    ),
+    "generators-pool-38": (
+        ["generators", "--poly", P38, "--nvars", "3"],
+        "90ec47dd6025519539d5855cbcf544917b9ca609f8fd6c844081d876dade5a15",
     ),
     "locus-maps-3-4": (
         ["locus", "maps", "--n", "3", "--d", "4"],

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from apolar.generators import (
     extract_generators,
     verify_generators,
 )
+from apolar.monomials import enumerate_exponents
 from apolar.polynomials import (
     coefficient_one_poly,
     compare_hilbert,
@@ -19,6 +21,7 @@ from apolar.polynomials import (
 )
 from apolar.rng import substream
 
+from oracles import contract_dual
 from sampling import random_coefficient_one_standard
 
 
@@ -153,6 +156,51 @@ def test_equal_image_classes_chain_singletons():
     for j in range(1, 6):
         classes = contraction_image_classes(f, j)
         assert all(len(cls) == 1 for cls in classes)
+
+
+# coefficient kinds of the image-class property: all ones, nonzero ints of
+# both signs, and k + 1/q with q in 2..4, never integral
+_COEFFICIENTS = {
+    "ones": lambda rng: 1,
+    "int": lambda rng: rng.nonzero_int(9),
+    "fraction": lambda rng: Fraction(rng.nonzero_int(9)) + Fraction(1, 2 + rng.below(3)),
+}
+
+
+def _brute_force_classes(f, j):
+    """Supports grouped by the sum of their monomials' oracle images, each
+    class sorted, classes sorted by first member."""
+    images = {}
+    for m in enumerate_exponents(f.num_vars, j):
+        image = contract_dual(m, f.terms)
+        if image:
+            images[m] = image
+    groups = {}
+    for size in range(1, len(images) + 1):
+        for support in itertools.combinations(images, size):
+            total = {}
+            for m in support:
+                for e, c in images[m].items():
+                    total[e] = total.get(e, 0) + c
+            key = frozenset((e, c) for e, c in total.items() if c)
+            groups.setdefault(key, []).append(support)
+    return sorted(sorted(cls) for cls in groups.values())
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFICIENTS))
+def test_image_classes_equal_the_brute_force_partition(kind):
+    # four draws per (n, d) with n <= 3, d <= 4; none has more than 10
+    # non-annihilating monomials, so the brute force stays fast
+    coefficient = _COEFFICIENTS[kind]
+    for trial in range(48):
+        rng = substream(3004, trial)
+        n, d = 1 + trial % 3, 1 + trial // 3 % 4
+        support = [m for m in enumerate_exponents(n, d) if rng.coin()]
+        if not support:
+            continue
+        f = graded_polynomial(n, {m: coefficient(rng) for m in support})
+        for j in range(1, d + 1):
+            assert contraction_image_classes(f, j) == _brute_force_classes(f, j)
 
 
 def test_extraction_soundness_random():

@@ -26,10 +26,14 @@ from .complexes import (
     minimal_nonfaces,
     skeleton_count,
 )
-from .errors import DEFAULT_MATRIX_GUARD, GuardExceeded, InternalInvariantError
+from .errors import (
+    DEFAULT_ENUMERATION_GUARD,
+    DEFAULT_MATRIX_GUARD,
+    GuardExceeded,
+    InternalInvariantError,
+)
 from .generators import extract_generators, verify_generators
 from .locus import (
-    DEFAULT_ENUMERATION_GUARD,
     enumerate_admissible_supports,
     projection_map_report,
     support_conditions,
@@ -74,11 +78,12 @@ def _parse_poly_args(args):
 
 def _cmd_hilbert(args) -> None:
     f = _parse_poly_args(args)
-    conv = _convention(args)
+    h = hilbert_vector(f, _convention(args))
     _emit(
         {
-            "hilbert": list(hilbert_vector(f, conv)),
-            "standard": is_standard(f, conv),
+            "hilbert": list(h),
+            # no degree-1 annihilator exactly when h_1 = n; false in degree 0
+            "standard": h[1:2] == (f.num_vars,),
             "socle_degree": f.degree,
         }
     )

@@ -1,8 +1,12 @@
-"""Shared exception types and the default resource guard."""
+"""Shared exception types and the one resource guard policy."""
 
 # Largest catalecticant or projection-map dimension a command builds unless
 # its ``max_dim`` parameter or ``--max-dim`` flag says otherwise.
 DEFAULT_MATRIX_GUARD = 20000
+# Largest degree-d basis whose support subsets ``locus enumerate`` scans.
+DEFAULT_ENUMERATION_GUARD = 20
+# Most operator supports the equal-image class scan walks.
+DEFAULT_SUBSET_GUARD = 1 << 16
 
 
 class GuardExceeded(Exception):
@@ -11,6 +15,20 @@ class GuardExceeded(Exception):
     Guards exist so that desk-scale commands fail fast instead of grinding;
     every guard has an override parameter or CLI flag.
     """
+
+
+def check_guard(what: str, size: int, limit: int, override: str) -> None:
+    """Refuse a ``size`` above ``limit``.
+
+    Callers compute ``size`` by arithmetic, before enumerating or allocating
+    anything of that size; ``override`` names the parameter or flag that
+    raises the limit.
+    """
+    if size > limit:
+        raise GuardExceeded(
+            f"{what} {size} exceeds the guard of {limit}; "
+            f"raise {override} to override"
+        )
 
 
 class InternalInvariantError(AssertionError):

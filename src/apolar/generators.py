@@ -21,7 +21,7 @@ from math import gcd
 from operator import add
 
 from .complexes import complex_of, minimal_nonfaces
-from .errors import GuardExceeded
+from .errors import DEFAULT_SUBSET_GUARD, check_guard
 from .linalg import first_nonzero, integer_row, row_step
 from .monomials import ExponentVector, enumerate_exponents, monomial_count
 from .polynomials import (
@@ -139,7 +139,7 @@ def _ideal_span(
 def contraction_image_classes(
     f: GradedPolynomial,
     j: int,
-    max_subsets: int = 1 << 16,
+    max_subsets: int = DEFAULT_SUBSET_GUARD,
 ) -> list[list[tuple[ExponentVector, ...]]]:
     """Partition of coefficient-one degree-j operator polynomials by image.
 
@@ -162,11 +162,8 @@ def contraction_image_classes(
             cells.append(m)
             images.append(column)
     count = len(cells)
-    if count and (1 << count) > max_subsets:
-        raise GuardExceeded(
-            f"{count} non-annihilating monomials: 2^{count} subsets exceed the "
-            f"guard of {max_subsets}; raise max_subsets to override"
-        )
+    # no non-annihilating monomial means nothing to scan, whatever the guard
+    check_guard("subset count", count and 1 << count, max_subsets, "max_subsets")
     groups: dict[tuple, list[int]] = {}
     running = [0] * c_j.rows
     gray = 0
@@ -190,23 +187,18 @@ def contraction_image_classes(
 
 def extract_generators(
     f: GradedPolynomial,
-    max_difference_degree: int | None = None,
-    max_subsets: int = 1 << 16,
+    max_subsets: int = DEFAULT_SUBSET_GUARD,
 ) -> GeneratorSet:
     """Structured generator extraction for a coefficient-one polynomial.
 
     Candidates are processed in a fixed order (non-faces by degree, then
     consecutive-pair differences within each equal-image class, then top
-    powers) and kept only when outside the ideal generated so far.  By
-    default differences are searched in every degree up to the socle degree;
-    ``max_difference_degree`` caps the search at the caller's risk, in which
-    case :func:`verify_generators` reports whether the capped set still
-    generates.
+    powers) and kept only when outside the ideal generated so far.
+    Differences are searched in every degree up to the socle degree.
     """
     if not f.is_coefficient_one():
         raise ValueError("generator extraction requires all coefficients equal to 1")
     n, d = f.num_vars, f.degree
-    cap = d if max_difference_degree is None else min(max_difference_degree, d)
     zeta = complex_of(f)
     kept: list[tuple[int, GradedPolynomial]] = []
     nonfaces: dict[int, frozenset] = {}
@@ -220,8 +212,6 @@ def extract_generators(
             poly = monomial_poly(n, m)
             span.add(poly)
             kept.append((j, poly))
-        if j > cap:
-            continue
         pairs = []
         for cls in contraction_image_classes(f, j, max_subsets=max_subsets):
             for left, right in zip(cls, cls[1:]):

@@ -64,14 +64,6 @@ class RationalMatrix:
     def to_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def times_vector(self, v) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(
-            sum((self.entry(i, j) * v[j] for j in range(self.cols)), _ZERO)
-            for i in range(self.rows)
-        )
-
 
 def integer_row(values) -> Sequence[int]:
     """The row as integers: scaled by the lcm of its denominators, if any."""

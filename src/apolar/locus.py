@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_MATRIX_GUARD, GuardExceeded
+from .errors import DEFAULT_ENUMERATION_GUARD, DEFAULT_MATRIX_GUARD, check_guard
 from .linalg import RationalMatrix, rank
 from .monomials import (
     ExponentVector,
@@ -31,8 +31,6 @@ from .monomials import (
     lift_image_positions,
     monomial_count,
 )
-
-DEFAULT_ENUMERATION_GUARD = 20
 
 
 @dataclass(frozen=True)
@@ -111,11 +109,8 @@ def enumerate_admissible_supports(
 
     The scan is exponential in the basis size, hence the guard.
     """
+    check_guard("basis size", monomial_count(n, d), max_basis, "--guard / max_basis")
     basis = enumerate_exponents(n, d)
-    if len(basis) > max_basis:
-        raise GuardExceeded(
-            f"basis size {len(basis)} exceeds enumeration guard {max_basis}"
-        )
     out = []
     for mask in range(1, 1 << len(basis)):
         support = tuple(basis[b] for b in range(len(basis)) if mask >> b & 1)
@@ -175,13 +170,11 @@ def u_elimination_matrix(
         raise ValueError("need n >= 2 and d >= 2")
     p = monomial_count(n, d - 1)
     p_target = monomial_count(n - 1, d - 1)
+    size = monomial_count(p + n, d)  # the source basis is the larger one
+    check_guard("matrix dimension", size, max_dim, "--max-dim / max_dim")
     killed_x = frozenset(k - 1 for k in last_variable_multiples(n, d))
     source = enumerate_exponents(p + n, d)
     target = enumerate_exponents(p_target + (n - 1), d)
-    if max(len(source), len(target)) > max_dim:
-        raise GuardExceeded(
-            f"matrix dimension {max(len(source), len(target))} exceeds guard {max_dim}"
-        )
     target_index = {m: t for t, m in enumerate(target)}
     images: list[int | None] = []
     for vec in source:
@@ -215,16 +208,14 @@ def degree_step_matrix(
         raise ValueError("need n >= 2 and d >= 3")
     p = monomial_count(n, d - 1)
     p_target = monomial_count(n, d - 2)
+    size = monomial_count(p + n, d)  # the source basis is the larger one
+    check_guard("matrix dimension", size, max_dim, "--max-dim / max_dim")
     eligible = tuple(k - 1 for k in lift_image_positions(n, d))
     eligible_rank = {orig: t for t, orig in enumerate(eligible)}
     u_image = lift_image(n, d - 1)
     big_image = lift_image(p + n, d)
     source = enumerate_exponents(p + n, d)
     target = enumerate_exponents(p_target + n, d - 1)
-    if max(len(source), len(target)) > max_dim:
-        raise GuardExceeded(
-            f"matrix dimension {max(len(source), len(target))} exceeds guard {max_dim}"
-        )
     target_index = {m: t for t, m in enumerate(target)}
     images: list[int | None] = []
     for vec in source:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DEFAULT_MATRIX_GUARD, GuardExceeded
+from .errors import DEFAULT_MATRIX_GUARD, check_guard
 from .linalg import rank
 from .monomials import ExponentVector, enumerate_exponents, monomial_count
 from .parsing import format_monomial
@@ -106,17 +106,13 @@ def full_perazzo_hilbert(
     convention: PairingConvention = DUAL_BASIS,
     max_dim: int = DEFAULT_MATRIX_GUARD,
 ) -> tuple[int, ...]:
-    f = build_full_perazzo(n, d)
-    _guard_catalecticants(f.num_vars, d, max_dim)
-    return hilbert_vector(f, convention)
-
-
-def _guard_catalecticants(num_vars: int, d: int, max_dim: int) -> None:
-    biggest = max(monomial_count(num_vars, j) for j in range(d + 1))
-    if biggest > max_dim:
-        raise GuardExceeded(
-            f"catalecticant dimension {biggest} exceeds guard {max_dim}"
-        )
+    if n < 2 or d < 2:
+        raise ValueError("need n >= 2 and d >= 2")
+    num_vars = n + monomial_count(n, d - 1)
+    # the largest catalecticant side is the degree-d basis (C_0 and C_d)
+    size = monomial_count(num_vars, d)
+    check_guard("catalecticant dimension", size, max_dim, "--max-dim / max_dim")
+    return hilbert_vector(build_full_perazzo(n, d), convention)
 
 
 @dataclass(frozen=True)
@@ -236,7 +232,6 @@ def conjecture_sample_check(
         raise ValueError("trials must be nonnegative")
     workers = worker_count(jobs, trials, os.cpu_count())
     num_vars = n + monomial_count(n, d - 1)
-    _guard_catalecticants(num_vars, d, max_dim)
     reference = full_perazzo_hilbert(n, d, max_dim=max_dim)
     work = [(seed, t, num_vars, d, reference) for t in range(trials)]
     if workers > 1:

@@ -34,6 +34,12 @@ GOLDEN = {
         ["hilbert", "--poly", F25, "--nvars", "2"],
         "5e3e4543f57275c82a3c1442d4e7c8202d92484b22e22c01b8c66bab62167280",
     ),
+    # recorded while "standard" still came from its own rank of C_1; a
+    # degree-0 form has no h_1 and must stay non-standard
+    "hilbert-degree-0": (
+        ["hilbert", "--poly", "3", "--nvars", "2"],
+        "1fc8d252551190dc535537db551c9596c84a52f4c460ad373477845b9262691f",
+    ),
     "hilbert-3-4": (
         ["hilbert", "--poly", F34, "--nvars", "3"],
         "a93bae5f6738e45003aa745b360c12b2eb5669b77c5e04f986ec73be28c2c239",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from apolar.errors import GuardExceeded
 from apolar.generators import (
     GeneratorSet,
     contraction_image_classes,
@@ -270,3 +271,13 @@ def test_minimality_checker_reports_the_violation():
     assert report["counterexamples"]
     first = report["counterexamples"][0]
     assert first["hilbert"] != report["hilbert_ones"]
+
+
+def test_subset_guard_refuses_just_over_limit():
+    # both degree-1 monomials survive on x1^2 + x1*x2: 2^2 = 4 subsets
+    f = _paper_quadric()
+    with pytest.raises(GuardExceeded) as refused:
+        contraction_image_classes(f, 1, max_subsets=3)
+    assert "4 exceeds the guard of 3" in str(refused.value)
+    assert "max_subsets" in str(refused.value)
+    assert len(contraction_image_classes(f, 1, max_subsets=4)) == 3

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from apolar.cli import main
 from apolar.errors import GuardExceeded
 from apolar.linalg import rank
 from apolar.locus import (
@@ -214,3 +215,48 @@ def test_projection_report_reproducible():
 def test_matrix_guard():
     with pytest.raises(GuardExceeded):
         u_elimination_matrix(3, 5, max_dim=1000)
+
+
+def _refuse_enumeration(*args):
+    raise AssertionError("basis enumerated before the guard was checked")
+
+
+# (call with a guard of ``limit``, size the call would build, override name)
+JUST_OVER_LIMIT = {
+    "enumerate": (
+        lambda limit: enumerate_admissible_supports(3, 4, max_basis=limit),
+        15,
+        "max_basis",
+    ),
+    "u_elimination": (
+        lambda limit: u_elimination_matrix(3, 4, max_dim=limit),
+        1820,
+        "max_dim",
+    ),
+    "degree_step": (
+        lambda limit: degree_step_matrix(3, 4, max_dim=limit),
+        1820,
+        "max_dim",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(JUST_OVER_LIMIT))
+def test_guard_refuses_just_over_limit_before_enumerating(site, monkeypatch):
+    call, size, override = JUST_OVER_LIMIT[site]
+    with monkeypatch.context() as patched:
+        patched.setattr("apolar.locus.enumerate_exponents", _refuse_enumeration)
+        patched.setattr("apolar.locus.lift_image", _refuse_enumeration)
+        with pytest.raises(GuardExceeded) as refused:
+            call(size - 1)
+    assert f"{size} exceeds the guard of {size - 1}" in str(refused.value)
+    assert override in str(refused.value)
+    call(size)
+
+
+def test_locus_maps_refuses_large_n_before_enumerating(monkeypatch, capsys):
+    monkeypatch.setattr("apolar.locus.enumerate_exponents", _refuse_enumeration)
+    monkeypatch.setattr("apolar.locus.lift_image", _refuse_enumeration)
+    assert main(["locus", "maps", "--n", "4", "--d", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "962598" in err and "20000" in err and "--max-dim" in err

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from apolar.cli import main
+from apolar.errors import GuardExceeded
 from apolar.monomials import monomial_count
 from apolar.perazzo import (
     PerazzoSpec,
@@ -228,3 +229,45 @@ def test_cli_rejects_jobs_below_one(jobs, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"jobs must be at least 1, got {jobs}" in captured.err
+
+
+def _refuse_build(*args):
+    raise AssertionError("Perazzo polynomial built before the guard was checked")
+
+
+# codimension 2 + tau(2, 2) = 5; its largest catalecticant side is tau(5, 3)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda limit: full_perazzo_hilbert(2, 3, max_dim=limit),
+        lambda limit: conjecture_sample_check(2, 3, 1, 7, max_dim=limit),
+    ],
+    ids=["full_perazzo_hilbert", "conjecture_sample_check"],
+)
+def test_guard_refuses_just_over_limit_before_building(call, monkeypatch):
+    size = monomial_count(5, 3)
+    with monkeypatch.context() as patched:
+        patched.setattr("apolar.perazzo.build_full_perazzo", _refuse_build)
+        with pytest.raises(GuardExceeded) as refused:
+            call(size - 1)
+    message = str(refused.value)
+    assert f"{size} exceeds the guard of {size - 1}" in message
+    assert "max_dim" in message
+    call(size)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: full_perazzo_hilbert(9, 8),
+        lambda: conjecture_sample_check(9, 8, 1, 7),
+    ],
+    ids=["full_perazzo_hilbert", "conjecture_sample_check"],
+)
+def test_guard_refuses_9_8_before_building(call, monkeypatch):
+    monkeypatch.setattr("apolar.perazzo.build_full_perazzo", _refuse_build)
+    with pytest.raises(GuardExceeded) as refused:
+        call()
+    size = monomial_count(9 + monomial_count(9, 7), 8)
+    assert str(size) in str(refused.value)
+    assert "20000" in str(refused.value) and "max_dim" in str(refused.value)

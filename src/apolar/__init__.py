@@ -27,6 +27,7 @@ from .generators import (
 from .linalg import RationalMatrix, kernel_basis, rank
 from .locus import (
     ComponentDescriptor,
+    ProjectionMap,
     SupportConditions,
     degree_step_matrix,
     derived_set,

@@ -24,12 +24,6 @@ class CellComplex:
     num_vars: int
     cells: frozenset
 
-    def has_cell(self, exps: ExponentVector) -> bool:
-        return tuple(exps) in self.cells
-
-    def cells_of_degree(self, degree: int) -> tuple[ExponentVector, ...]:
-        return tuple(sorted(c for c in self.cells if sum(c) == degree))
-
 
 def divisors(exps: ExponentVector) -> list[ExponentVector]:
     """All monomial divisors of degree >= 1 (the monomial itself included)."""

@@ -8,11 +8,13 @@ sources collide).  These predicates are implemented literally as stated in
 the source characterization, even where they disagree with the linear-algebra
 notion of standardness; the CLI reports both verdicts side by side.
 
-This module also builds the two projection matrices between ambient Perazzo
+This module also builds the two projection maps between ambient Perazzo
 polynomial spaces (eliminating the last u-variable, and stepping the degree
 down by one) and reports their computed kernel dimensions next to the
-published closed-form values.  Where the computation disagrees with the
-closed form, the discrepancy is reported verbatim, never patched.
+published closed-form values.  Each map sends a source monomial to one target
+monomial or to zero, so it is stored as its column images and its rank is the
+number of distinct images.  Where the computation disagrees with the closed
+form, the discrepancy is reported verbatim, never patched.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DEFAULT_ENUMERATION_GUARD, DEFAULT_MATRIX_GUARD, check_guard
-from .linalg import RationalMatrix, rank
 from .monomials import (
     ExponentVector,
     decrement_at,
@@ -139,32 +140,33 @@ def pairwise_gcd_bounded(support) -> bool:
     return True
 
 
-def _unit_matrix_from_images(
-    images: list[int | None],
-    n_rows: int,
-) -> RationalMatrix:
-    """Matrix with a single 1 in column c at row images[c] (None = zero column)."""
-    cols = len(images)
-    flat = [0] * (n_rows * cols)
-    for c, r in enumerate(images):
-        if r is not None:
-            flat[r * cols + c] = 1
-    return RationalMatrix(n_rows, cols, tuple(flat))
+@dataclass(frozen=True)
+class ProjectionMap:
+    """A 0/1 matrix with at most one 1 per column, stored as column images:
+    source column c goes to target row ``images[c]``, or to zero on None."""
+
+    rows: int
+    images: tuple
+
+    @property
+    def cols(self) -> int:
+        return len(self.images)
 
 
 def u_elimination_matrix(
     n: int,
     d: int,
     max_dim: int = DEFAULT_MATRIX_GUARD,
-) -> RationalMatrix:
-    """Matrix of the projection that eliminates the last u-variable.
+) -> ProjectionMap:
+    """Column images of the projection that eliminates the last u-variable.
 
     Source: degree-d monomials in tau(n, d-1) x-variables plus n u-variables.
     Target: degree-d monomials in tau(n-1, d-1) x-variables plus n-1
     u-variables.  A monomial dies when the last u-variable divides it or when
     one of its x-variables is paired with a u-monomial divisible by the last
     u-variable; surviving monomials drop the killed coordinates (all zero on
-    survivors, removed in descending index order).  Bases are lex ascending.
+    survivors, removed in descending index order).  Bases are lex ascending;
+    a dying monomial has image None, and the rank is the distinct-image count.
     """
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
@@ -184,15 +186,15 @@ def u_elimination_matrix(
             continue
         reduced_x = tuple(e for t, e in enumerate(x_part) if t not in killed_x)
         images.append(target_index[reduced_x + u_part[: n - 1]])
-    return _unit_matrix_from_images(images, len(target))
+    return ProjectionMap(len(target), tuple(images))
 
 
 def degree_step_matrix(
     n: int,
     d: int,
     max_dim: int = DEFAULT_MATRIX_GUARD,
-) -> RationalMatrix:
-    """Matrix of the projection that lowers the degree by one.
+) -> ProjectionMap:
+    """Column images of the projection that lowers the degree by one.
 
     Source: degree-d monomials in tau(n, d-1) x-variables plus n u-variables.
     Target: degree-(d-1) monomials in tau(n, d-2) x-variables plus the same n
@@ -202,7 +204,8 @@ def degree_step_matrix(
     exponent vector is a minimal fiber representative too; the image then
     lowers the last positive u-exponent.  Surviving x-positions are re-indexed
     by their rank among the eligible positions, which is what makes the
-    x-block of the target well defined.  Bases are lex ascending.
+    x-block of the target well defined.  Bases are lex ascending; a dying
+    monomial has image None, and the rank is the distinct-image count.
     """
     if n < 2 or d < 3:
         raise ValueError("need n >= 2 and d >= 3")
@@ -232,7 +235,7 @@ def degree_step_matrix(
             if x_part[t]:
                 new_x[eligible_rank[t]] = x_part[t]
         images.append(target_index[tuple(new_x) + lowered[p:]])
-    return _unit_matrix_from_images(images, len(target))
+    return ProjectionMap(len(target), tuple(images))
 
 
 def full_perazzo_locus_dimension(n: int, d: int) -> int:
@@ -242,15 +245,16 @@ def full_perazzo_locus_dimension(n: int, d: int) -> int:
     return monomial_count(n, d - 1) - 1
 
 
-def _map_report(matrix: RationalMatrix, formula_value: int) -> dict:
-    computed_rank = rank(matrix)
-    kernel_dim = matrix.cols - computed_rank
+def _map_report(projection: ProjectionMap, formula_value: int) -> dict:
+    # distinct images are distinct unit columns, hence independent
+    computed_rank = len(set(projection.images) - {None})
+    kernel_dim = projection.cols - computed_rank
     return {
-        "rows": matrix.rows,
-        "cols": matrix.cols,
+        "rows": projection.rows,
+        "cols": projection.cols,
         "rank": computed_rank,
         "kernel_dim": kernel_dim,
-        "surjective": computed_rank == matrix.rows,
+        "surjective": computed_rank == projection.rows,
         "published_kernel_formula": formula_value,
         "formula_matches": kernel_dim == formula_value,
     }

@@ -3,7 +3,9 @@
 Each digest was recorded from the ``Fraction`` elimination that preceded the
 integer elimination core, so these tests check that the core changed no
 output byte: ranks (``hilbert``, ``locus maps``, ``conjecture``), canonical
-kernels (``ann``) and the incremental span (``generators``).
+kernels (``ann``) and the incremental span (``generators``).  The later
+``locus`` digests were each recorded on the code before the change they
+guard, as the comments next to them say.
 """
 
 import hashlib
@@ -75,6 +77,37 @@ GOLDEN = {
     "locus-maps-3-4": (
         ["locus", "maps", "--n", "3", "--d", "4"],
         "d4836f242e442a9dd7a32e04e61e199ad3d263fccb2d3cc3f2de8cec526abaa0",
+    ),
+    # recorded before the projection maps were stored as column images;
+    # (4,4) is the largest input the default matrix guard accepts
+    "locus-maps-2-6": (
+        ["locus", "maps", "--n", "2", "--d", "6"],
+        "2ed7ca7987506ac6c84b2898b943a874c09ba8b50c4d29e2f4af7528900455a4",
+    ),
+    "locus-maps-5-3": (
+        ["locus", "maps", "--n", "5", "--d", "3"],
+        "88fa3eba8f721e18e5a0ffc43a35f86aa27b12d0b2f2539854b9f618203497d1",
+    ),
+    "locus-maps-2-7": (
+        ["locus", "maps", "--n", "2", "--d", "7"],
+        "da09dba73b6bd7205c265dce8cabdb61a17a380ed14de21c8fab48a15a625a6b",
+    ),
+    "locus-maps-4-4": (
+        ["locus", "maps", "--n", "4", "--d", "4"],
+        "2a1ec9575d56cf651ae56e069d1a0bcf89187e6a3e02dd197069c1c6734ae4c1",
+    ),
+    # recorded before any rewrite of the admissible-support enumeration
+    "locus-enumerate-3-3-json": (
+        ["locus", "enumerate", "--nvars", "3", "--degree", "3"],
+        "85dc3b91e87e87131c05636dd70a221f52a70cddd91d9190aed2704f05ef196e",
+    ),
+    "locus-enumerate-3-3-csv": (
+        ["locus", "enumerate", "--nvars", "3", "--degree", "3", "--format", "csv"],
+        "375e883d23bb5acb04d90f7254beb99b34d7de2fdd5a478495a00c5804e5f597",
+    ),
+    "locus-stcheck-3-3": (
+        ["locus", "stcheck", "--poly", "x1^2*x2 + x1*x2^2 + x2*x3^2", "--nvars", "3"],
+        "0ddb55c2b91646d31a9a028b12c55f8edca39151f9c7fd6e87ec28a3fc51f713",
     ),
     "conjecture-jobs1": (
         CONJECTURE + ["--jobs", "1"],

@@ -4,7 +4,7 @@ import pytest
 
 from apolar.cli import main
 from apolar.errors import GuardExceeded
-from apolar.linalg import rank
+from apolar.linalg import RationalMatrix, rank
 from apolar.locus import (
     degree_step_matrix,
     derived_set,
@@ -134,40 +134,40 @@ def test_full_perazzo_locus_dimension_golden():
     assert full_perazzo_locus_dimension(3, 2) == 2
 
 
+def _distinct_images(m):
+    return len(set(m.images) - {None})
+
+
 def test_u_elimination_2_2_hand_derived():
     m = u_elimination_matrix(2, 2)
     # domain: degree-2 monomials in x1, x2, u1, u2; target: in x1, u1
     assert (m.rows, m.cols) == (3, 10)
-    assert rank(m) == 3
+    assert _distinct_images(m) == 3
     source = enumerate_exponents(4, 2)
     target = enumerate_exponents(2, 2)
     killed = 0
-    for c, vec in enumerate(source):
-        column = [m.entry(r, c) for r in range(m.rows)]
+    for vec, image in zip(source, m.images, strict=True):
         x_part, u_part = vec[:2], vec[2:]
         if u_part[1] or x_part[0]:
-            assert all(v == 0 for v in column)
+            assert image is None
             killed += 1
         else:
-            image = (x_part[1],) + (u_part[0],)
-            assert column[target.index(image)] == 1
-            assert sum(bool(v) for v in column) == 1
+            assert image == target.index((x_part[1],) + (u_part[0],))
     assert killed == 7
 
 
 def test_degree_step_2_3_hand_derived():
     m = degree_step_matrix(2, 3)
     assert (m.rows, m.cols) == (10, 35)
-    assert rank(m) == 4
+    assert _distinct_images(m) == 4
     source = enumerate_exponents(5, 3)
     target = enumerate_exponents(4, 2)
     # survivors: x_k * (u-part in the lift image), re-indexed, degree lowered
-    survivors = {}
-    for c, vec in enumerate(source):
-        column = [m.entry(r, c) for r in range(m.rows)]
-        hits = [r for r, v in enumerate(column) if v]
-        if hits:
-            survivors[vec] = target[hits[0]]
+    survivors = {
+        vec: target[image]
+        for vec, image in zip(source, m.images, strict=True)
+        if image is not None
+    }
     assert survivors == {
         (1, 0, 0, 0, 2): (1, 0, 0, 1),
         (1, 0, 0, 1, 1): (1, 0, 1, 0),
@@ -182,13 +182,57 @@ def test_degree_step_reindexes_by_rank():
     p = monomial_count(3, 2)
     source = enumerate_exponents(p + 3, 3)
     target = enumerate_exponents(monomial_count(3, 1) + 3, 2)
-    for c, vec in enumerate(source):
-        hits = [r for r in range(m.rows) if m.entry(r, c)]
-        if not hits:
-            continue
-        x_part = vec[:p]
-        if x_part[3]:  # original position 4
-            assert target[hits[0]][:3] == (0, 0, 1)
+    checked = 0
+    for vec, image in zip(source, m.images, strict=True):
+        if image is not None and vec[:p][3]:  # original position 4
+            assert target[image][:3] == (0, 0, 1)
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_map_rank_is_distinct_image_count(n, d):
+    # Bareiss on the dense 0/1 expansion agrees with counting images
+    report = projection_map_report(n, d)
+    builders = {"u_elimination": u_elimination_matrix, "degree_step": degree_step_matrix}
+    for key in report:
+        m = builders[key](n, d)
+        dense = RationalMatrix.from_rows(
+            [[int(image == r) for image in m.images] for r in range(m.rows)]
+        )
+        assert rank(dense) == _distinct_images(m) == report[key]["rank"]
+
+
+# every guard-accepted (n, d) from (2,2) to (5,3), then (2,7) and (4,4)
+WHOLE_SPACE = [
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
+    (4, 2), (4, 3), (5, 2), (5, 3), (2, 7), (4, 4),
+]
+
+
+@pytest.mark.parametrize("n, d", WHOLE_SPACE)
+def test_u_elimination_whole_space_closed_form(n, d):
+    # on the whole degree-d space the map is onto, so its kernel is the
+    # difference of the two basis sizes, not the published Perazzo-space value
+    tau = monomial_count
+    elim = projection_map_report(n, d)["u_elimination"]
+    assert elim["surjective"] is True
+    assert elim["kernel_dim"] == (
+        tau(tau(n, d - 1) + n, d) - tau(tau(n - 1, d - 1) + n - 1, d)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, d", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]
+)
+def test_unique_source_and_no_cross_collision_agree(n, d):
+    # two sources (a, k) != (b, l) of one derivative a - e_k = b - e_l differ
+    # in both monomial and variable, so the two predicates coincide
+    basis = enumerate_exponents(n, d)
+    for mask in range(1, 1 << len(basis)):
+        support = [basis[b] for b in range(len(basis)) if mask >> b & 1]
+        conditions = support_conditions(support, n)
+        assert conditions.unique_derivative_source == conditions.no_cross_collision
 
 
 def test_projection_report_discrepancies_are_reported_not_patched():

@@ -105,9 +105,28 @@ GOLDEN = {
         ["locus", "enumerate", "--nvars", "3", "--degree", "3", "--format", "csv"],
         "375e883d23bb5acb04d90f7254beb99b34d7de2fdd5a478495a00c5804e5f597",
     ),
+    # recorded before the basis walk became a non-recursive loop;
+    # (3,4) is the command that sets the benchmark's locus call tail
+    "locus-enumerate-3-4-json": (
+        ["locus", "enumerate", "--nvars", "3", "--degree", "4"],
+        "fb848cf4871376d23255da49ef4d347d6639900954353d4089a1e031458168bb",
+    ),
+    "locus-enumerate-2-6-json": (
+        ["locus", "enumerate", "--nvars", "2", "--degree", "6"],
+        "772dde39f8eabe16766b22aa7c9a3785b503c49f1538eba25db521552390b679",
+    ),
     "locus-stcheck-3-3": (
         ["locus", "stcheck", "--poly", "x1^2*x2 + x1*x2^2 + x2*x3^2", "--nvars", "3"],
         "0ddb55c2b91646d31a9a028b12c55f8edca39151f9c7fd6e87ec28a3fc51f713",
+    ),
+    # recorded while h2 still came from its own rank of C_2
+    "perazzo-census-2-3": (
+        ["perazzo", "census", "--n", "2", "--d", "3"],
+        "e9543a80b7183bc96462d4dd8760bb84956a7f5e28d62c6b3c355af825a6b9f1",
+    ),
+    "perazzo-census-2-4": (
+        ["perazzo", "census", "--n", "2", "--d", "4"],
+        "1610308371a4d2c7aa356ceeae9ea5d2fa5822bffa188bd2603de41944152c7f",
     ),
     "conjecture-jobs1": (
         CONJECTURE + ["--jobs", "1"],

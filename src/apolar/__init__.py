@@ -49,7 +49,6 @@ from .monomials import (
     lex_compare,
     lex_min_preimage,
     lift_image,
-    lift_image_positions,
     monomial_count,
 )
 from .parsing import (

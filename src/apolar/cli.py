@@ -50,7 +50,6 @@ from .perazzo import (
     conjecture_sample_check,
     degree2_census,
     full_perazzo_hilbert,
-    hilbert_h2,
     is_bihomogeneous,
 )
 from .polynomials import (
@@ -281,7 +280,9 @@ def _cmd_perazzo_hilbert(args) -> None:
 def _cmd_perazzo_census(args) -> None:
     f = build_full_perazzo(args.n, args.d)
     census: Degree2Census = degree2_census(f)
-    _emit({**census.as_dict(), "h2": hilbert_h2(f)})
+    # h_2 is the operator count minus the annihilator, which is total_dim
+    h2 = monomial_count(f.num_vars, 2) - census.total_dim
+    _emit({**census.as_dict(), "h2": h2})
 
 
 def _cmd_conjecture(args) -> None:

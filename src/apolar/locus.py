@@ -29,7 +29,6 @@ from .monomials import (
     enumerate_exponents,
     last_variable_multiples,
     lift_image,
-    lift_image_positions,
     monomial_count,
 )
 
@@ -198,11 +197,11 @@ def degree_step_matrix(
 
     Source: degree-d monomials in tau(n, d-1) x-variables plus n u-variables.
     Target: degree-(d-1) monomials in tau(n, d-2) x-variables plus the same n
-    u-variables.  A monomial survives only when it has the shape "one
-    x-variable whose paired u-monomial is a minimal fiber representative,
-    times a u-monomial that is itself such a representative", and the full
-    exponent vector is a minimal fiber representative too; the image then
-    lowers the last positive u-exponent.  Surviving x-positions are re-indexed
+    u-variables.  A monomial survives only when it is one x-variable whose
+    paired u-monomial lies in the lift image (is divisible by the last
+    u-variable) times a u-monomial of degree d-1 that lies in the lift image
+    too; the full exponent vector then lies in the lift image as well.  The
+    image lowers the last u-exponent.  Surviving x-positions are re-indexed
     by their rank among the eligible positions, which is what makes the
     x-block of the target well defined.  Bases are lex ascending; a dying
     monomial has image None, and the rank is the distinct-image count.
@@ -213,19 +212,18 @@ def degree_step_matrix(
     p_target = monomial_count(n, d - 2)
     size = monomial_count(p + n, d)  # the source basis is the larger one
     check_guard("matrix dimension", size, max_dim, "--max-dim / max_dim")
-    eligible = tuple(k - 1 for k in lift_image_positions(n, d))
+    eligible = tuple(k - 1 for k in last_variable_multiples(n, d))
     eligible_rank = {orig: t for t, orig in enumerate(eligible)}
     u_image = lift_image(n, d - 1)
-    big_image = lift_image(p + n, d)
     source = enumerate_exponents(p + n, d)
     target = enumerate_exponents(p_target + n, d - 1)
     target_index = {m: t for t, m in enumerate(target)}
     images: list[int | None] = []
     for vec in source:
         x_part, u_part = vec[:p], vec[p:]
-        if any(
+        if u_part not in u_image or any(
             x_part[t] > 0 for t in range(p) if t not in eligible_rank
-        ) or vec not in big_image or u_part not in u_image:
+        ):
             images.append(None)
             continue
         # survivors have x-degree 1 at an eligible position and u-degree d-1

@@ -31,17 +31,30 @@ def monomial_count(n: int, d: int) -> int:
 
 
 def iter_exponents(n: int, d: int) -> Iterator[ExponentVector]:
-    """Yield all degree-``d`` exponent vectors in ``n`` variables, lex ascending."""
+    """Yield all degree-``d`` exponent vectors in ``n`` variables, lex ascending.
+
+    The lex successor moves one unit from the last positive coordinate to the
+    coordinate before it and puts the rest of that coordinate last.
+    """
     if n < 1:
         raise ValueError("need at least one variable")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in iter_exponents(n - 1, d - first):
-            yield (first,) + rest
+    vec = [0] * n
+    vec[-1] = d
+    last = n - 1 if d else 0  # last positive coordinate; 0 ends the walk
+    while True:
+        yield tuple(vec)
+        if last == 0:
+            return
+        rest = vec[last] - 1
+        vec[last] = 0
+        vec[last - 1] += 1
+        if rest:
+            vec[-1] = rest
+            last = n - 1
+        else:
+            last -= 1
 
 
 @lru_cache(maxsize=4096)
@@ -116,39 +129,24 @@ def lex_min_preimage(vec: ExponentVector) -> ExponentVector:
 
 
 def lift_image(n: int, d: int) -> frozenset[ExponentVector]:
-    """Image of :func:`lex_min_preimage` inside the degree-``d`` basis.
+    """Image of :func:`lex_min_preimage` inside the degree-``d`` basis: the
+    monomials divisible by the last variable.
 
-    Equivalently: the degree-``d`` vectors that are the lex-minimum of their
-    fiber under :func:`decrement_last`.
+    The fiber of :func:`decrement_last` over w is {w + e_k : k >= the last
+    support index of w}, and w + e_n is its lex-smallest element.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    best: dict[ExponentVector, ExponentVector] = {}
-    for vec in iter_exponents(n, d):
-        down = decrement_last(vec)
-        if down not in best or vec < best[down]:
-            best[down] = vec
-    return frozenset(best.values())
+    return frozenset(vec for vec in enumerate_exponents(n, d) if vec[-1])
 
 
 def last_variable_multiples(n: int, d: int) -> tuple[int, ...]:
     """1-based positions, in the degree-(d-1) basis of ``n`` variables, of the
-    monomials divisible by the last variable.  Ascending."""
+    monomials divisible by the last variable.  Ascending.  For ``d >= 3``
+    these are the positions of ``lift_image(n, d - 1)``."""
     if n < 2:
         raise ValueError("need at least two variables")
     if d < 2:
         raise ValueError("degree must be at least 2")
     basis = enumerate_exponents(n, d - 1)
     return tuple(k + 1 for k, vec in enumerate(basis) if vec[n - 1] >= 1)
-
-
-def lift_image_positions(n: int, d: int) -> tuple[int, ...]:
-    """1-based positions, in the degree-(d-1) basis of ``n`` variables, of the
-    monomials lying in ``lift_image(n, d-1)``.  Ascending."""
-    if n < 2:
-        raise ValueError("need at least two variables")
-    if d < 3:
-        raise ValueError("degree must be at least 3")
-    image = lift_image(n, d - 1)
-    basis = enumerate_exponents(n, d - 1)
-    return tuple(k + 1 for k, vec in enumerate(basis) if vec in image)

@@ -63,14 +63,6 @@ class GradedPolynomial:
     def is_coefficient_one(self) -> bool:
         return all(c == 1 for c in self.terms.values())
 
-    def scaled(self, factor) -> "GradedPolynomial":
-        factor = Fraction(factor)
-        if factor == 0:
-            return GradedPolynomial(self.num_vars, self.degree, {})
-        return GradedPolynomial(
-            self.num_vars, self.degree, {e: c * factor for e, c in self.terms.items()}
-        )
-
 
 def graded_polynomial(num_vars: int, terms: Mapping) -> GradedPolynomial:
     """Validating constructor: enforces homogeneity and drops zero coefficients.

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,6 @@ from apolar.monomials import (
     lex_compare,
     lex_min_preimage,
     lift_image,
-    lift_image_positions,
     monomial_count,
 )
 
@@ -141,30 +142,48 @@ def test_last_variable_multiples_count(n, d):
     assert count == monomial_count(n, d - 1) - monomial_count(n - 1, d - 1)
 
 
-def test_lift_image_positions_golden():
-    assert lift_image_positions(2, 3) == (1, 2)
-
-
+# The lift image's positions in the degree-(d-1) basis are the last-variable
+# multiples, so the lift-image position checks run on last_variable_multiples.
 @pytest.mark.parametrize("n,d", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 6), (2, 6)])
 def test_lift_image_positions_count(n, d):
     # the lift is injective, so its image has one element per lower monomial
-    assert len(lift_image_positions(n, d)) == monomial_count(n, d - 2)
+    assert len(last_variable_multiples(n, d)) == monomial_count(n, d - 2)
+
+
+def test_lift_image_positions_are_last_variable_multiples():
+    for n in range(2, 6):
+        for d in range(3, 7):
+            basis = enumerate_exponents(n, d - 1)
+            lifted = {lex_min_preimage(w) for w in enumerate_exponents(n, d - 2)}
+            positions = tuple(k + 1 for k, v in enumerate(basis) if v in lifted)
+            assert positions == last_variable_multiples(n, d), (n, d)
 
 
 def test_lift_image_matches_bruteforce_minima():
-    for n, d in [(2, 3), (3, 3), (3, 4)]:
-        image = lift_image(n, d)
-        expected = {
-            lex_min_preimage(j) for j in enumerate_exponents(n, d - 1)
-        }
-        assert image == frozenset(expected)
+    for n in range(1, 5):
+        for d in range(1, 6):
+            image = lift_image(n, d)
+            expected = {
+                lex_min_preimage(j) for j in enumerate_exponents(n, d - 1)
+            }
+            assert image == frozenset(expected), (n, d)
 
 
 def test_lift_image_positions_not_always_initial_segment():
     # in 3 variables at degree 2 the image skips position 3
-    assert lift_image_positions(3, 3) == (1, 2, 4)
+    assert last_variable_multiples(3, 3) == (1, 2, 4)
 
 
 def test_iter_matches_enumerate():
     for n, d in [(1, 0), (2, 5), (4, 3)]:
         assert tuple(iter_exponents(n, d)) == enumerate_exponents(n, d)
+
+
+def test_enumerate_matches_sorted_product():
+    # independent of the lex-successor walk: filter the full grid and sort
+    cases = [(n, d) for n in range(1, 6) for d in range(7)] + [(1, 7)]
+    for n, d in cases:
+        expected = sorted(
+            v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d
+        )
+        assert list(enumerate_exponents(n, d)) == expected, (n, d)

@@ -142,6 +142,14 @@ def test_last_variable_multiples_count(n, d):
     assert count == monomial_count(n, d - 1) - monomial_count(n - 1, d - 1)
 
 
+def test_lift_image_positions_golden():
+    # positions of lift_image(2, 2) in the degree-2 basis u2^2, u1*u2, u1^2
+    basis = enumerate_exponents(2, 2)
+    image = lift_image(2, 2)
+    positions = tuple(k + 1 for k, vec in enumerate(basis) if vec in image)
+    assert positions == (1, 2) == last_variable_multiples(2, 3)
+
+
 # The lift image's positions in the degree-(d-1) basis are the last-variable
 # multiples, so the lift-image position checks run on last_variable_multiples.
 @pytest.mark.parametrize("n,d", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 6), (2, 6)])

@@ -17,12 +17,11 @@ whole annihilator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from operator import add
 
 from .complexes import complex_of, minimal_nonfaces
 from .errors import DEFAULT_SUBSET_GUARD, check_guard
-from .linalg import first_nonzero, integer_row, row_step
+from .linalg import Echelon, integer_row
 from .monomials import ExponentVector, enumerate_exponents, monomial_count
 from .polynomials import (
     DUAL_BASIS,
@@ -71,69 +70,32 @@ def _difference(p1: GradedPolynomial, p2: GradedPolynomial) -> GradedPolynomial:
     return graded_polynomial(p1.num_vars, terms)
 
 
-class _Span:
-    """Incremental row space over a fixed monomial basis, in integer echelon
-    form: one primitive row per leading column.  Vectors are ``int`` lists
-    indexed by ``index``, the position of each basis monomial."""
-
-    def __init__(self, basis: tuple[ExponentVector, ...]):
-        self.index = {m: t for t, m in enumerate(basis)}
-        self.rows: dict[int, list[int]] = {}
-
-    def _vector(self, poly: GradedPolynomial) -> list[int]:
-        v = [0] * len(self.index)
-        for e, c in zip(poly.terms, integer_row(poly.terms.values())):
-            v[self.index[e]] = c
-        return v
-
-    def _reduce(self, v: list[int]) -> tuple[int | None, list[int]]:
-        """Leading column (None when in the span) and reduced vector of v."""
-        lead = first_nonzero(v)
-        while lead in self.rows:
-            row = self.rows[lead]
-            g = gcd(row[lead], v[lead])
-            v = row_step(row[lead] // g, v, v[lead] // g, row)
-            lead = first_nonzero(v)
-        return lead, v
-
-    def add_vector(self, v: list[int]) -> bool:
-        """Insert unless already in the span; returns True when new."""
-        lead, v = self._reduce(v)
-        if lead is None:
-            return False
-        g = gcd(*v)
-        self.rows[lead] = [x // g for x in v]
-        return True
-
-    def add(self, poly: GradedPolynomial) -> bool:
-        return self.add_vector(self._vector(poly))
-
-    def contains(self, poly: GradedPolynomial) -> bool:
-        return self._reduce(self._vector(poly))[0] is None
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
-
-
 def _ideal_span(
     generators: list[tuple[int, GradedPolynomial]],
     n: int,
     j: int,
-) -> _Span:
-    """Span of all degree-j monomial multiples of the given generators."""
-    span = _Span(enumerate_exponents(n, j))
-    index, size = span.index, len(span.index)
+) -> tuple[dict[ExponentVector, int], Echelon]:
+    """Span of all degree-j monomial multiples of the given generators, as an
+    echelon of ``int`` vectors, and the position of each degree-j monomial in
+    those vectors."""
+    index = {m: t for t, m in enumerate(enumerate_exponents(n, j))}
+    span = Echelon()
     for degree, poly in generators:
         if degree > j:
             continue
         terms = tuple(zip(poly.terms, integer_row(poly.terms.values())))
         for m in enumerate_exponents(n, j - degree):
-            v = [0] * size
+            v = [0] * len(index)
             for e, c in terms:
                 v[index[tuple(map(add, e, m))]] = c
-            span.add_vector(v)
-    return span
+            span.add(v)
+    return index, span
+
+
+def _unit(index: dict[ExponentVector, int], m: ExponentVector) -> list[int]:
+    v = [0] * len(index)
+    v[index[m]] = 1
+    return v
 
 
 def contraction_image_classes(
@@ -207,34 +169,32 @@ def extract_generators(
         nf = minimal_nonfaces(zeta, j)
         if nf:
             nonfaces[j] = frozenset(nf)
-        span = _ideal_span(kept, n, j)
+        index, span = _ideal_span(kept, n, j)
         for m in nf:
-            poly = monomial_poly(n, m)
-            span.add(poly)
-            kept.append((j, poly))
+            span.add(_unit(index, m))
+            kept.append((j, monomial_poly(n, m)))
         pairs = []
         for cls in contraction_image_classes(f, j, max_subsets=max_subsets):
             for left, right in zip(cls, cls[1:]):
-                v = [0] * len(span.index)
+                v = [0] * len(index)
                 for e in left:
-                    v[span.index[e]] += 1
+                    v[index[e]] += 1
                 for e in right:
-                    v[span.index[e]] -= 1
-                if span.add_vector(v):
+                    v[index[e]] -= 1
+                if span.add(v):
                     p1 = graded_polynomial(n, {e: 1 for e in left})
                     p2 = graded_polynomial(n, {e: 1 for e in right})
                     pairs.append((p1, p2))
                     kept.append((j, _difference(p1, p2)))
         if pairs:
             differences[j] = tuple(pairs)
-    top_span = _ideal_span(kept, n, d + 1)
+    index, top_span = _ideal_span(kept, n, d + 1)
     powers = set()
     for k in range(1, n + 1):
         exps = tuple(d + 1 if t == k - 1 else 0 for t in range(n))
-        poly = monomial_poly(n, exps)
-        if top_span.add(poly):
+        if top_span.add(_unit(index, exps)):
             powers.add((k, d + 1))
-            kept.append((d + 1, poly))
+            kept.append((d + 1, monomial_poly(n, exps)))
     return GeneratorSet(n, d, frozenset(powers), nonfaces, differences)
 
 
@@ -252,12 +212,12 @@ def verify_generators(f: GradedPolynomial, gens: GeneratorSet) -> bool:
         if degree <= d and not contract(poly, f, DUAL_BASIS).is_zero():
             return False
     for j in range(1, d + 2):
-        span = _ideal_span(generators, n, j)
+        span = _ideal_span(generators, n, j)[1]
         expected = (
             annihilator_dimension(f, j, DUAL_BASIS)
             if j <= d
             else monomial_count(n, j)
         )
-        if span.dimension != expected:
+        if len(span.pivots) != expected:
             return False
     return True

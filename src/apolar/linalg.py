@@ -1,13 +1,14 @@
 """Exact dense linear algebra over the rationals, by integer elimination.
 
 Entries are ``int`` or ``fractions.Fraction``, with no floating point
-anywhere.  Rows are scaled to integers by the lcm of their denominators, and
-one exact row step, ``(p * row - a * pivot) / q``, serves Bareiss elimination
-(Math. Comp. 22, 1968: ``q`` is the previous pivot, so entries stay minors of
-the input) for ``rank``, its Gauss-Jordan form, divided once at the end, for
-``kernel_basis``, and the incremental echelon in ``generators._Span``.  The
-reduced row echelon form is unique, so identical inputs give identical
-outputs.
+anywhere.  Rows are scaled to integers by the lcm of their denominators.  One
+elimination loop, ``Echelon``, serves every caller: it is Bareiss elimination
+(Math. Comp. 22, 1968) with rows taken one at a time in arrival order, so
+entries stay minors of the input.  ``rank`` counts its pivots,
+``kernel_basis`` finishes it into the Gauss-Jordan form, divided once at the
+end, and the generator spans in ``generators`` are echelons over a monomial
+basis.  The reduced row echelon form is unique, so identical inputs give
+identical outputs.
 """
 
 from __future__ import annotations
@@ -83,39 +84,51 @@ def row_step(p: int, row, a: int, pivot, q: int = 1) -> list[int]:
     return [(p * x - a * y) // q for x, y in zip(row, pivot)]
 
 
-def _eliminate(rows, jordan: bool) -> tuple[list, int]:
-    """Bareiss elimination of integer rows: the pivot rows, leftmost pivot
-    first, and the last pivot.  With ``jordan`` the pivot rows divided by the
-    last pivot are the reduced row echelon form."""
-    buckets: dict[int, list] = {}  # leading column -> rows
-    for row in rows:
-        row = integer_row(row)
-        lead = first_nonzero(row)
-        if lead is not None:
-            buckets.setdefault(lead, []).append(row)
-    prev, done = 1, []
-    while buckets:
-        c = min(buckets)
-        prow, *others = buckets.pop(c)
-        p = prow[c]
-        if p != prev:  # rows with zero in column c are scaled by p / prev
-            for group in buckets.values():
-                group[:] = [[x * p // prev for x in row] for row in group]
-        for row in others:
-            row = row_step(p, row, row[c], prow, prev)
-            lead = first_nonzero(row)
-            if lead is not None:
-                buckets.setdefault(lead, []).append(row)
-        if jordan:
-            done = [row_step(p, row, row[c], prow, prev) for row in done]
-        done.append(prow)
-        prev = p
-    return done, prev
+class Echelon:
+    """Bareiss echelon of integer rows, built one row at a time.
+
+    A row entering goes through every earlier pivot in the order they were
+    found.  Where it is nonzero in the pivot column it takes the row step,
+    divided by ``q``, the pivot of the last step it took.  A pivot it skips
+    would scale it by ``p / prev``; those scales telescope, so they are
+    applied once, at the end, as the last pivot over ``q``.  The row is then
+    the Bareiss row, whose entries are minors of the input.  A row that does
+    not reduce to zero becomes the next pivot, at its first nonzero column.
+    ``pivots`` holds (column, row) pairs; their columns are the leading
+    columns of the row space's RREF, in arrival order.
+    """
+
+    def __init__(self, rows=()):
+        self.pivots: list[tuple[int, Sequence[int]]] = []
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, row) -> Sequence[int]:
+        """The row reduced by every pivot: zero exactly when in the span."""
+        row, q = integer_row(row), 1
+        for c, prow in self.pivots:
+            if row[c]:
+                p = prow[c]
+                row, q = row_step(p, row, row[c], prow, q), p
+        if self.pivots:
+            c, prow = self.pivots[-1]
+            if prow[c] != q:
+                row = [x * prow[c] // q for x in row]
+        return row
+
+    def add(self, row) -> bool:
+        """Insert unless already in the span; returns True when new."""
+        row = self.reduce(row)
+        c = first_nonzero(row)
+        if c is None:
+            return False
+        self.pivots.append((c, row))
+        return True
 
 
 def rank(m: RationalMatrix) -> int:
     """Rank over the rationals, computed exactly."""
-    return len(_eliminate(map(m.row, range(m.rows)), jordan=False)[0])
+    return len(Echelon(map(m.row, range(m.rows))).pivots)
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -126,8 +139,14 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     # The free-variable vectors of the column-reversed RREF, read back in the
     # original order, have their 1 leftmost and are zero at every other free
     # column: they already are the kernel's RREF.
-    done, last = _eliminate((m.row(i)[::-1] for i in range(m.rows)), jordan=True)
-    reduced = {first_nonzero(row): row for row in done}
+    reduced, last = {}, 1
+    for c, prow in Echelon(m.row(i)[::-1] for i in range(m.rows)).pivots:
+        p = prow[c]
+        reduced = {
+            pc: row_step(p, row, row[c], prow, last) for pc, row in reduced.items()
+        }
+        reduced[c] = prow
+        last = p
     basis = []
     for free in reversed(range(m.cols)):
         if free not in reduced:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .linalg import RationalMatrix, kernel_basis, rank
@@ -45,11 +46,21 @@ DIFFERENTIATION = PairingConvention.DIFFERENTIATION
 @dataclass(frozen=True, eq=True)
 class GradedPolynomial:
     """Homogeneous polynomial: ``terms`` maps exponent tuples to nonzero
-    rationals.  An empty map is the zero polynomial of the given graded slot."""
+    rationals.  An empty map is the zero polynomial of the given graded slot.
+    The value is immutable: ``terms`` is a read-only copy of the map given."""
 
     num_vars: int
     degree: int
-    terms: dict
+    terms: Mapping
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+
+    def __hash__(self):
+        return hash((self.num_vars, self.degree, frozenset(self.terms.items())))
+
+    def __reduce__(self):
+        return GradedPolynomial, (self.num_vars, self.degree, dict(self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -37,6 +37,40 @@ def row_reduce_rank(rows):
     return rank
 
 
+def _rref(rows, ncols):
+    """Textbook Gauss-Jordan over the rationals: the nonzero rows of the
+    reduced row echelon form and their pivot columns."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[top])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def nullspace_rref(rows, ncols):
+    """Canonical basis of the right null space: one vector per free column
+    of the RREF, then those vectors brought to their own RREF."""
+    reduced, pivots = _rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            v = [Fraction(0)] * ncols
+            v[free] = Fraction(1)
+            for row, col in zip(reduced, pivots):
+                v[col] = -row[free]
+            basis.append(v)
+    return [tuple(v) for v in _rref(basis, ncols)[0]]
+
+
 def contract_dual(op_exps, terms):
     """Dual-basis contraction of a term dict by a single operator monomial."""
     out = {}

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apolar.generators import _Span
-from apolar.linalg import RationalMatrix, kernel_basis, rank
+from apolar.linalg import Echelon, RationalMatrix, kernel_basis, rank
 from apolar.monomials import enumerate_exponents
 from apolar.polynomials import GradedPolynomial, annihilator_basis
 from apolar.rng import substream
 
-from oracles import row_reduce_rank
+from oracles import nullspace_rref, row_reduce_rank
 
 
 def test_rank_identity():
@@ -194,14 +193,32 @@ def _matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_matrices())
-# the second pivot row is zero in the first pivot column: the first step
-# must still scale it by the first pivot
+# the pivots arrive out of column order: columns 1, 0, 2
 @example([[0, 1, 0], [2, -1, -1], [1, 0, 0]])
 def test_rank_agrees_with_the_oracle(data):
     cols = len(data[0]) if data else 0
     m = RationalMatrix(len(data), cols, tuple(x for row in data for x in row))
     assert rank(m) == row_reduce_rank(data)
     assert rank(m) + len(kernel_basis(m)) == cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+# kernel_basis eliminates the column-reversed rows; in these the pivots
+# arrive out of column order: columns 2, 0, and columns 2, 0, 1
+@example([[1, 0, 0], [0, 0, 1]])
+@example([[3, 0, 0], [0, 0, 2], [1, 1, 1]])
+# the second reversed row is zero in the first pivot column, whose pivot 2
+# differs from the previous pivot 1: unless that row is scaled by 2 / 1, the
+# Gauss-Jordan step that divides by 2 is inexact
+@example([[1, 2, 0], [0, 0, 1]])
+# the third reversed row skips the last pivot 1 after a step by pivot 3: its
+# scale is 1 / 3, which is no integer factor
+@example([[-1, -1, 3], [0, 0, 1], [0, -1, 3]])
+def test_kernel_basis_agrees_with_the_oracle(data):
+    cols = len(data[0]) if data else 0
+    m = RationalMatrix(len(data), cols, tuple(x for row in data for x in row))
+    assert kernel_basis(m) == nullspace_rref(data, cols)
 
 
 _nonzero = st.one_of(
@@ -234,11 +251,11 @@ def test_span_dimension_and_membership_agree_with_the_oracle(data):
     else:
         candidate = GradedPolynomial(n, j, data.draw(operator_terms))
 
-    span = _Span(basis)
+    span = Echelon()
     for poly in polys:
-        span.add(poly)
+        span.add(vector(poly))
     stacked = [vector(p) for p in polys]
-    assert span.dimension == row_reduce_rank(stacked)
-    inside = row_reduce_rank(stacked + [vector(candidate)]) == span.dimension
-    assert span.contains(candidate) == inside
-    assert span.add(candidate) == (not inside)
+    assert len(span.pivots) == row_reduce_rank(stacked)
+    inside = row_reduce_rank(stacked + [vector(candidate)]) == len(span.pivots)
+    assert (not any(span.reduce(vector(candidate)))) == inside
+    assert span.add(vector(candidate)) == (not inside)

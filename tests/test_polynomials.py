@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from apolar.polynomials import (
     DIFFERENTIATION,
     DUAL_BASIS,
+    GradedPolynomial,
     HilbertOrder,
     annihilator_basis,
     annihilator_dimension,
@@ -34,6 +36,30 @@ def test_constructor_merges_and_validates():
         graded_polynomial(2, {(1, 1): 0})  # zero polynomial
     with pytest.raises(ValueError):
         graded_polynomial(2, {(1, 1, 0): 1})  # wrong arity
+
+
+def test_terms_are_a_read_only_copy():
+    terms = {(2, 0): 1, (1, 1): Fraction(1, 2)}
+    f = GradedPolynomial(2, 2, terms)
+    with pytest.raises(TypeError):
+        f.terms[(2, 0)] = 5
+    terms[(2, 0)] = 5  # the caller's map is not shared
+    assert f.coefficient((2, 0)) == 1
+
+
+def test_hash_agrees_with_equality():
+    f = graded_polynomial(2, {(2, 0): 1, (1, 1): Fraction(1, 2)})
+    g = GradedPolynomial(2, 2, {(1, 1): Fraction(2, 4), (2, 0): 1})
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g, monomial_poly(2, (2, 0))}) == 2
+
+
+def test_pickling_round_trips():
+    f = graded_polynomial(3, {(2, 0, 1): Fraction(-3, 7), (0, 1, 2): 4})
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and hash(g) == hash(f)
+    with pytest.raises(TypeError):
+        g.terms[(0, 1, 2)] = 1
 
 
 def test_contract_dual_basis_golden():

@@ -10,25 +10,24 @@ generated by three structured families:
 ``extract_generators`` emits these families degree by degree, pruning every
 candidate that already lies in the ideal generated so far, so the output is
 non-redundant and deterministic.  ``verify_generators`` checks degree-wise
-against the linear-algebra kernel that a generator set really generates the
-whole annihilator.
+that a generator set really generates the whole annihilator: the degree-j
+slice of the annihilator is the kernel of the catalecticant C_j, whose
+columns are the only contraction images this module reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 
 from .complexes import complex_of, minimal_nonfaces
 from .errors import DEFAULT_SUBSET_GUARD, check_guard
-from .linalg import Echelon, integer_row
+from .linalg import Echelon, integer_row, rank
 from .monomials import ExponentVector, enumerate_exponents, monomial_count
 from .polynomials import (
     DUAL_BASIS,
     GradedPolynomial,
-    annihilator_dimension,
     catalecticant_matrix,
-    contract,
     graded_polynomial,
     monomial_poly,
 )
@@ -194,30 +193,28 @@ def extract_generators(
         exps = tuple(d + 1 if t == k - 1 else 0 for t in range(n))
         if top_span.add(_unit(index, exps)):
             powers.add((k, d + 1))
-            kept.append((d + 1, monomial_poly(n, exps)))
     return GeneratorSet(n, d, frozenset(powers), nonfaces, differences)
 
 
 def verify_generators(f: GradedPolynomial, gens: GeneratorSet) -> bool:
     """Degree-wise check that the generator set generates the annihilator.
 
-    For every degree up to one above the socle degree, the span of all
-    monomial multiples of the generators must equal the kernel of the
-    corresponding catalecticant (the full operator space at the top).  Every
-    generator must itself annihilate ``f``.
+    For every degree j up to the socle degree, the span of all degree-j
+    monomial multiples of the generators must lie in the kernel of the
+    catalecticant C_j (C_j kills every pivot row of its echelon) and have
+    its dimension.  One degree above, the span must be the full operator
+    space.  The span's vectors and the columns of C_j both follow the pinned
+    lex basis of degree j.
     """
     n, d = f.num_vars, f.degree
     generators = gens.polynomials()
-    for degree, poly in generators:
-        if degree <= d and not contract(poly, f, DUAL_BASIS).is_zero():
+    if any(degree == 0 for degree, _ in generators):
+        return False  # a constant kills no nonzero f
+    for j in range(1, d + 1):
+        pivots = _ideal_span(generators, n, j)[1].pivots
+        c_j = catalecticant_matrix(f, j, DUAL_BASIS)
+        rows = list(map(c_j.row, range(c_j.rows)))
+        images = (sum(map(mul, row, v)) for _, v in pivots for row in rows)
+        if any(images) or len(pivots) != c_j.cols - rank(c_j):
             return False
-    for j in range(1, d + 2):
-        span = _ideal_span(generators, n, j)[1]
-        expected = (
-            annihilator_dimension(f, j, DUAL_BASIS)
-            if j <= d
-            else monomial_count(n, j)
-        )
-        if len(span.pivots) != expected:
-            return False
-    return True
+    return len(_ideal_span(generators, n, d + 1)[1].pivots) == monomial_count(n, d + 1)

@@ -213,7 +213,6 @@ def degree_step_matrix(
     size = monomial_count(p + n, d)  # the source basis is the larger one
     check_guard("matrix dimension", size, max_dim, "--max-dim / max_dim")
     eligible = tuple(k - 1 for k in last_variable_multiples(n, d))
-    eligible_rank = {orig: t for t, orig in enumerate(eligible)}
     u_image = lift_image(n, d - 1)
     source = enumerate_exponents(p + n, d)
     target = enumerate_exponents(p_target + n, d - 1)
@@ -221,18 +220,14 @@ def degree_step_matrix(
     images: list[int | None] = []
     for vec in source:
         x_part, u_part = vec[:p], vec[p:]
-        if u_part not in u_image or any(
-            x_part[t] > 0 for t in range(p) if t not in eligible_rank
-        ):
+        if u_part not in u_image:
             images.append(None)
             continue
-        # survivors have x-degree 1 at an eligible position and u-degree d-1
-        lowered = decrement_last(vec)
-        new_x = [0] * p_target
-        for t in eligible:
-            if x_part[t]:
-                new_x[eligible_rank[t]] = x_part[t]
-        images.append(target_index[tuple(new_x) + lowered[p:]])
+        # u-degree d-1 leaves one x-variable; it survives at an eligible position
+        new_x = tuple(x_part[t] for t in eligible)
+        images.append(
+            target_index[new_x + decrement_last(u_part)] if any(new_x) else None
+        )
     return ProjectionMap(len(target), tuple(images))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -130,12 +130,7 @@ class Degree2Census:
     total_dim: int
 
     def as_dict(self) -> dict:
-        return {
-            "monomial_count": self.monomial_count,
-            "binomial_count": self.binomial_count,
-            "other_count": self.other_count,
-            "total_dim": self.total_dim,
-        }
+        return asdict(self)
 
 
 def degree2_census(f: GradedPolynomial) -> Degree2Census:

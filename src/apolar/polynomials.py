@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import perm, prod
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -111,23 +112,13 @@ def coefficient_one_poly(num_vars: int, support: Iterable[ExponentVector]) -> Gr
     return graded_polynomial(num_vars, {tuple(e): 1 for e in support})
 
 
-def _falling(b: int, a: int) -> int:
-    out = 1
-    for t in range(a):
-        out *= b - t
-    return out
-
-
 def _pair_coefficient(op_exps, target_exps, convention: PairingConvention) -> Optional[int]:
     """Coefficient of x^(target - op) in op(x^target), or None when it dies."""
     if any(o > t for o, t in zip(op_exps, target_exps)):
         return None
     if convention is DUAL_BASIS:
         return 1
-    c = 1
-    for o, t in zip(op_exps, target_exps):
-        c *= _falling(t, o)
-    return c
+    return prod(map(perm, target_exps, op_exps))
 
 
 def contract(

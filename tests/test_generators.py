@@ -76,6 +76,25 @@ def test_dropping_a_generator_breaks_verification():
     assert not verify_generators(_paper_quadric(), gens)
 
 
+def test_non_annihilating_generator_breaks_verification():
+    # X1^2 does not kill x1^2 + x1*x2, yet every span dimension matches
+    gens = GeneratorSet(
+        2,
+        2,
+        frozenset({(1, 3)}),
+        {2: frozenset({(0, 2), (2, 0)})},
+        {},
+    )
+    assert not verify_generators(_paper_quadric(), gens)
+
+
+def test_constant_generator_breaks_verification():
+    # the unit ideal is not the annihilator, even of a constant f
+    f = graded_polynomial(1, {(0,): 1})
+    assert verify_generators(f, GeneratorSet(1, 0, frozenset({(1, 1)}), {}, {}))
+    assert not verify_generators(f, GeneratorSet(1, 0, frozenset({(1, 0)}), {}, {}))
+
+
 def test_single_variable_chain_power_only():
     f = graded_polynomial(1, {(4,): 1})
     gens = extract_generators(f)

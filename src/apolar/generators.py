@@ -48,18 +48,21 @@ class GeneratorSet:
     differences: dict
 
     def polynomials(self) -> list[tuple[int, GradedPolynomial]]:
-        """All generators as (degree, operator polynomial), deterministic order."""
-        out: list[tuple[int, GradedPolynomial]] = []
+        """All generators as (degree, operator polynomial), deterministic order.
+
+        The degree is read from each polynomial; the dict keys only group.
+        """
+        polys: list[GradedPolynomial] = []
         for j in sorted(self.nonface_monomials):
             for m in sorted(self.nonface_monomials[j]):
-                out.append((j, monomial_poly(self.num_vars, m)))
+                polys.append(monomial_poly(self.num_vars, m))
         for j in sorted(self.differences):
             for p1, p2 in self.differences[j]:
-                out.append((j, _difference(p1, p2)))
+                polys.append(_difference(p1, p2))
         for k, e in sorted(self.powers):
             exps = tuple(e if t == k - 1 else 0 for t in range(self.num_vars))
-            out.append((e, monomial_poly(self.num_vars, exps)))
-        return out
+            polys.append(monomial_poly(self.num_vars, exps))
+        return [(p.degree, p) for p in polys]
 
 
 def _difference(p1: GradedPolynomial, p2: GradedPolynomial) -> GradedPolynomial:

@@ -1,10 +1,14 @@
 """Text grammar for homogeneous polynomials.
 
-Terms are separated by ``+``/``-``; a term is an optional integer or
-rational coefficient followed by ``^``-powered variables joined with ``*``
-(the ``*`` between a coefficient and the first variable may be omitted).
-Variables are positional: ``x1 .. xp`` name the leading block and
-``u1 .. um`` the trailing block when a u-block size is given.
+A polynomial is a sequence of terms, each matched by one pattern::
+
+    [sign] [int [/ int]] [[*] factor (* factor)*]      factor = name [^ int]
+
+with whitespace allowed between any two tokens.  Only the first term may
+omit its ``+``/``-`` sign, and the ``*`` before the first factor is allowed
+only after a coefficient.  Variables are positional: ``x1 .. xp`` name the
+leading block and ``u1 .. um`` the trailing block when a u-block size is
+given.
 
 Printing uses the same grammar, highest term first, so parsing a printed
 polynomial always gives back the original.
@@ -17,9 +21,17 @@ from fractions import Fraction
 
 from .polynomials import GradedPolynomial, graded_polynomial
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+)|(?P<name>[xu]\d+)|(?P<op>[-+*^/]))"
+_FACTOR = re.compile(r"([xu]\d+)(?:\s*\^\s*(\d+))?")
+_TERM = re.compile(
+    r"\s*(?:(?P<sign>[-+])\s*)?"
+    r"(?:(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?(?:\s*(?:\*\s*)?(?=[xu]))?)?"
+    rf"(?P<factors>{_FACTOR.pattern}(?:\s*\*\s*{_FACTOR.pattern})*)?"
 )
+# a character no token starts with, or a variable letter without a number
+_STRAY = re.compile(r"[^\s\d+\-*^/xu]|[xu](?!\d)")
+_SPACE = re.compile(r"\s*")
+# a token and the whitespace around it; the end is where the next token starts
+_TOKEN = re.compile(r"\s*(\d+|[xu]\d+|\S)?\s*")
 
 
 class PolynomialSyntaxError(ValueError):
@@ -30,161 +42,80 @@ class PolynomialSyntaxError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise PolynomialSyntaxError(
-                f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
-            )
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, num_vars: int, num_u_vars: int):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.idx = 0
-        self.num_vars = num_vars
-        self.x_count = num_vars - num_u_vars
-
-    def _peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
-
-    def _next(self):
-        tok = self._peek()
-        if tok is not None:
-            self.idx += 1
-        return tok
-
-    def _fail(self, message: str):
-        tok = self._peek()
-        position = tok[2] if tok else len(self.text)
-        raise PolynomialSyntaxError(message, position)
-
-    def _variable_index(self, name: str, position: int) -> int:
-        block, number = name[0], int(name[1:])
-        if number < 1:
-            raise PolynomialSyntaxError(f"variable {name!r} is not positive", position)
-        if block == "x":
-            index = number - 1
-            if index >= self.x_count:
-                raise PolynomialSyntaxError(
-                    f"unknown variable {name!r}: only {self.x_count} x-variables",
-                    position,
-                )
-        else:
-            index = self.x_count + number - 1
-            if self.x_count + number > self.num_vars or self.x_count == self.num_vars:
-                raise PolynomialSyntaxError(
-                    f"unknown variable {name!r}: no u-block of that size", position
-                )
-        return index
-
-    def _number(self) -> int:
-        tok = self._next()
-        if tok is None or tok[0] != "number":
-            self._fail("expected a number")
-        return int(tok[1])
-
-    def _coefficient(self) -> Fraction:
-        value = Fraction(self._number())
-        tok = self._peek()
-        if tok is not None and tok[:2] == ("op", "/"):
-            self._next()
-            denominator = self._number()
-            if denominator == 0:
-                self._fail("zero denominator")
-            value /= denominator
-        return value
-
-    def _factor(self, exps: list[int]):
-        tok = self._next()
-        index = self._variable_index(tok[1], tok[2])
-        power = 1
-        nxt = self._peek()
-        if nxt is not None and nxt[:2] == ("op", "^"):
-            self._next()
-            power = self._number()
-        exps[index] += power
-
-    def _term(self):
-        coeff = None
-        exps = [0] * self.num_vars
-        tok = self._peek()
-        if tok is None:
-            self._fail("expected a term")
-        if tok[0] == "number":
-            coeff = self._coefficient()
-            nxt = self._peek()
-            if nxt is not None and nxt[:2] == ("op", "*"):
-                self._next()
-                if self._peek() is None or self._peek()[0] != "name":
-                    self._fail("expected a variable after '*'")
-        has_factor = False
-        if self._peek() is not None and self._peek()[0] == "name":
-            has_factor = True
-            self._factor(exps)
-            while self._peek() is not None and self._peek()[:2] == ("op", "*"):
-                self._next()
-                if self._peek() is None or self._peek()[0] != "name":
-                    self._fail("expected a variable after '*'")
-                self._factor(exps)
-        if coeff is None and not has_factor:
-            self._fail("expected a term")
-        return Fraction(1) if coeff is None else coeff, tuple(exps)
-
-    def parse(self) -> dict:
-        terms: dict[tuple, Fraction] = {}
-        sign = 1
-        tok = self._peek()
-        if tok is not None and tok[:2] in (("op", "+"), ("op", "-")):
-            self._next()
-            sign = -1 if tok[1] == "-" else 1
-        while True:
-            coeff, exps = self._term()
-            value = terms.get(exps, Fraction(0)) + sign * coeff
-            if value:
-                terms[exps] = value
-            else:
-                terms.pop(exps, None)
-            tok = self._next()
-            if tok is None:
-                break
-            if tok[:2] == ("op", "+"):
-                sign = 1
-            elif tok[:2] == ("op", "-"):
-                sign = -1
-            else:
-                raise PolynomialSyntaxError(
-                    f"expected '+' or '-', found {tok[1]!r}", tok[2]
-                )
-        return terms
+def _variable_index(name: str, position: int, num_vars: int, x_count: int) -> int:
+    number = int(name[1:])
+    if number < 1:
+        raise PolynomialSyntaxError(f"variable {name!r} is not positive", position)
+    if name[0] == "x":
+        index, bound, block = number - 1, x_count, f"only {x_count} x-variables"
+    else:
+        index, bound, block = x_count + number - 1, num_vars, "no u-block of that size"
+    if index >= bound:
+        raise PolynomialSyntaxError(f"unknown variable {name!r}: {block}", position)
+    return index
 
 
 def parse_polynomial(text: str, num_vars: int, num_u_vars: int = 0) -> GradedPolynomial:
     """Parse a homogeneous polynomial; like terms are combined, zero terms
-    dropped, and the zero polynomial and inhomogeneous input rejected."""
+    dropped, and the zero polynomial and inhomogeneous input rejected.
+
+    One term is matched per step, left to right.  A stray character anywhere
+    is reported before any other error; after a term, anything but a sign or
+    the end is diagnosed as the token the term pattern could not take.
+    """
     if num_vars < 1:
         raise ValueError("need at least one variable")
     if not 0 <= num_u_vars <= num_vars:
         raise ValueError("u-block size out of range")
-    terms = _Parser(text, num_vars, num_u_vars).parse()
-    if not terms:
-        raise ValueError("zero polynomial")
-    return graded_polynomial(num_vars, terms)
+    stray = _STRAY.search(text)
+    if stray:
+        raise PolynomialSyntaxError(f"unexpected character {stray[0]!r}", stray.start())
+    x_count = num_vars - num_u_vars
+    terms: dict[tuple, Fraction] = {}
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        if m["num"] is None and m["factors"] is None:
+            raise PolynomialSyntaxError("expected a term", m.end())
+        num, den = int(m["num"] or 1), int(m["den"] or 1)
+        if den == 0:
+            raise PolynomialSyntaxError(
+                "zero denominator", _SPACE.match(text, m.end("den")).end()
+            )
+        exps = [0] * num_vars
+        power = None
+        # an absent factors group spans (-1, -1), an empty window
+        for factor in _FACTOR.finditer(text, *m.span("factors")):
+            name, power = factor.groups()
+            index = _variable_index(name, factor.start(), num_vars, x_count)
+            exps[index] += int(power or 1)
+        key = tuple(exps)
+        coeff = Fraction(-num if m["sign"] == "-" else num, den)
+        value = terms.get(key, Fraction(0)) + coeff
+        if value:
+            terms[key] = value
+        else:
+            terms.pop(key, None)
+        pos = _SPACE.match(text, m.end()).end()
+        if pos == len(text):
+            return graded_polynomial(num_vars, terms)
+        op = text[pos]
+        if op in "+-":
+            continue
+        if op == "*":
+            raise PolynomialSyntaxError(
+                "expected a variable after '*'", _SPACE.match(text, pos + 1).end()
+            )
+        if (op == "^" and m["factors"] and power is None) or (
+            op == "/" and m["factors"] is None and m["den"] is None
+        ):
+            # the token after the operator is taken as the missing number
+            raise PolynomialSyntaxError(
+                "expected a number", _TOKEN.match(text, pos + 1).end()
+            )
+        raise PolynomialSyntaxError(
+            f"expected '+' or '-', found {_TOKEN.match(text, pos)[1]!r}", pos
+        )
 
 
 def format_rational(value: Fraction) -> str:

@@ -95,6 +95,31 @@ def test_constant_generator_breaks_verification():
     assert not verify_generators(f, GeneratorSet(1, 0, frozenset({(1, 0)}), {}, {}))
 
 
+def test_generator_degree_is_read_from_the_polynomial():
+    # the dict keys only group the generators: a key that is not their degree
+    # must not change the verdict of the published generating set
+    gens = GeneratorSet(
+        2,
+        2,
+        frozenset({(1, 3)}),
+        {1: frozenset({(0, 2)})},
+        {1: ((monomial_poly(2, (2, 0)), monomial_poly(2, (1, 1))),)},
+    )
+    assert verify_generators(_paper_quadric(), gens)
+
+
+def test_difference_of_unequal_degrees_is_rejected():
+    gens = GeneratorSet(
+        2,
+        2,
+        frozenset({(1, 3)}),
+        {},
+        {2: ((monomial_poly(2, (2, 0)), monomial_poly(2, (1, 0))),)},
+    )
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        verify_generators(_paper_quadric(), gens)
+
+
 def test_single_variable_chain_power_only():
     f = graded_polynomial(1, {(4,): 1})
     gens = extract_generators(f)

@@ -1,9 +1,14 @@
+import ast
+import hashlib
+import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import apolar
 from apolar.cli import main
 from apolar.parsing import (
     PolynomialSyntaxError,
@@ -55,6 +60,73 @@ def test_parse_error_carries_offset():
         assert exc.position == 5
     else:
         raise AssertionError("expected a syntax error")
+
+
+def _parse_outcome(text, num_vars, num_u_vars):
+    try:
+        f = parse_polynomial(text, num_vars, num_u_vars)
+    except PolynomialSyntaxError as exc:
+        return f"syntax {exc} @{exc.position}"
+    except ValueError as exc:
+        return f"value {exc}"
+    return f"degree {f.degree} {sorted(f.terms.items())}"
+
+
+# One readable case per message, with its offset: when the digest below
+# fails, the cases failing here name the message that moved.
+PARSE_OUTCOMES = [
+    ("x1 + @", 2, 0, "syntax unexpected character '@' (at offset 5) @5"),
+    ("u", 2, 1, "syntax unexpected character 'u' (at offset 0) @0"),
+    ("x0", 2, 0, "syntax variable 'x0' is not positive (at offset 0) @0"),
+    ("x3", 2, 0, "syntax unknown variable 'x3': only 2 x-variables (at offset 0) @0"),
+    ("u2", 3, 1, "syntax unknown variable 'u2': no u-block of that size (at offset 0) @0"),
+    ("x1^", 2, 0, "syntax expected a number (at offset 3) @3"),
+    ("x1^+x2", 2, 0, "syntax expected a number (at offset 4) @4"),
+    ("3/x1", 2, 0, "syntax expected a number (at offset 4) @4"),
+    ("3/0 x1", 2, 0, "syntax zero denominator (at offset 4) @4"),
+    ("2 * * x1", 2, 0, "syntax expected a variable after '*' (at offset 4) @4"),
+    ("x1 +", 2, 0, "syntax expected a term (at offset 4) @4"),
+    ("", 2, 0, "syntax expected a term (at offset 0) @0"),
+    ("x1 x2", 2, 0, "syntax expected '+' or '-', found 'x2' (at offset 3) @3"),
+    ("x1 11", 2, 0, "syntax expected '+' or '-', found '11' (at offset 3) @3"),
+    ("x1^2^3", 2, 0, "syntax expected '+' or '-', found '^' (at offset 4) @4"),
+    ("3/2/3 x1", 2, 0, "syntax expected '+' or '-', found '/' (at offset 3) @3"),
+    ("x1 - x1", 2, 0, "value zero polynomial"),
+    ("x1^2 + x2", 2, 0, "value inhomogeneous support: degrees [1, 2]"),
+    ("x1", 0, 0, "value need at least one variable"),
+    ("x1", 2, 3, "value u-block size out of range"),
+    (
+        "2x1^2 - 1/2 u1*x1",
+        3,
+        1,
+        "degree 2 [((1, 0, 1), Fraction(-1, 2)), ((2, 0, 0), Fraction(2, 1))]",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,num_vars,num_u_vars,outcome", PARSE_OUTCOMES)
+def test_parse_outcome_examples(text, num_vars, num_u_vars, outcome):
+    assert _parse_outcome(text, num_vars, num_u_vars) == outcome
+
+
+def test_parse_outcome_digest():
+    """Every string of length 1-4 over a small alphabet, at (n, m) = (3, 1)
+    and (2, 0): accepted terms, or the message and offset of the error.
+    Recorded on the recursive-descent parser that preceded the term pattern."""
+    digest = hashlib.sha256()
+    for num_vars, num_u_vars in [(3, 1), (2, 0)]:
+        for length in range(1, 5):
+            for chars in itertools.product("x1u2+-*^/ 0@", repeat=length):
+                outcome = _parse_outcome("".join(chars), num_vars, num_u_vars)
+                digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == "f334bd8fef1bd15a2e68441c6ede35e9c9384e9e6b83a7126354713a3bf8fa55"
+
+
+def test_parsing_defines_no_class_but_its_error():
+    # the grammar is regular: one term pattern and a loop, no parser object
+    tree = ast.parse((Path(apolar.__file__).parent / "parsing.py").read_text())
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes == ["PolynomialSyntaxError"]
 
 
 def test_u_block_parsing():

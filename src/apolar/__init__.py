@@ -32,8 +32,6 @@ from .locus import (
     degree_step_matrix,
     derived_set,
     enumerate_admissible_supports,
-    full_perazzo_locus_dimension,
-    pairwise_gcd_bounded,
     projection_map_report,
     support_conditions,
     u_elimination_matrix,
@@ -41,12 +39,10 @@ from .locus import (
 from .monomials import (
     decrement_at,
     decrement_last,
-    delete_at,
     enumerate_exponents,
     iter_exponents,
     last_support_index,
     last_variable_multiples,
-    lex_compare,
     lex_min_preimage,
     lift_image,
     monomial_count,
@@ -60,9 +56,7 @@ from .parsing import (
 )
 from .perazzo import (
     Degree2Census,
-    PerazzoSpec,
     build_full_perazzo,
-    build_perazzo,
     coefficient_one_minimality_check,
     conjecture_sample_check,
     degree2_census,

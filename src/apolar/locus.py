@@ -124,21 +124,6 @@ def enumerate_admissible_supports(
     return out
 
 
-def pairwise_gcd_bounded(support) -> bool:
-    """Whether every pair of distinct support monomials has gcd degree at
-    most d - 2.  Vacuously true for fewer than two monomials."""
-    support = [tuple(m) for m in support]
-    if not support:
-        raise ValueError("empty support")
-    d = sum(support[0])
-    for i, a in enumerate(support):
-        for b in support[i + 1 :]:
-            gcd_degree = sum(min(x, y) for x, y in zip(a, b))
-            if gcd_degree > d - 2:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class ProjectionMap:
     """A 0/1 matrix with at most one 1 per column, stored as column images:
@@ -229,13 +214,6 @@ def degree_step_matrix(
             target_index[new_x + decrement_last(u_part)] if any(new_x) else None
         )
     return ProjectionMap(len(target), tuple(images))
-
-
-def full_perazzo_locus_dimension(n: int, d: int) -> int:
-    """Dimension of the full Perazzo locus: tau(n, d-1) - 1."""
-    if n < 2 or d < 2:
-        raise ValueError("need n >= 2 and d >= 2")
-    return monomial_count(n, d - 1) - 1
 
 
 def _map_report(projection: ProjectionMap, formula_value: int) -> dict:

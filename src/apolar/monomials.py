@@ -63,19 +63,6 @@ def enumerate_exponents(n: int, d: int) -> tuple[ExponentVector, ...]:
     return tuple(iter_exponents(n, d))
 
 
-def lex_compare(a: ExponentVector, b: ExponentVector) -> int:
-    """Lexicographic comparison with the first coordinate dominant.
-
-    Returns -1, 0 or 1.  Vectors of unequal length are not comparable.
-    """
-    if len(a) != len(b):
-        raise ValueError("cannot compare exponent vectors of different lengths")
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
-
-
 def decrement_at(vec: ExponentVector, k: int) -> Optional[ExponentVector]:
     """Lower the ``k``-th exponent by one; ``None`` when it is already zero.
 
@@ -87,15 +74,6 @@ def decrement_at(vec: ExponentVector, k: int) -> Optional[ExponentVector]:
     if vec[k - 1] == 0:
         return None
     return vec[: k - 1] + (vec[k - 1] - 1,) + vec[k:]
-
-
-def delete_at(vec: ExponentVector, k: int) -> ExponentVector:
-    """Drop the ``k``-th coordinate (1-based); needs at least two variables."""
-    if len(vec) < 2:
-        raise ValueError("cannot delete the only coordinate")
-    if not 1 <= k <= len(vec):
-        raise ValueError(f"variable index {k} out of range 1..{len(vec)}")
-    return vec[: k - 1] + vec[k:]
 
 
 def last_support_index(vec: ExponentVector) -> int:

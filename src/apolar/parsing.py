@@ -79,9 +79,7 @@ def parse_polynomial(text: str, num_vars: int, num_u_vars: int = 0) -> GradedPol
             raise PolynomialSyntaxError("expected a term", m.end())
         num, den = int(m["num"] or 1), int(m["den"] or 1)
         if den == 0:
-            raise PolynomialSyntaxError(
-                "zero denominator", _SPACE.match(text, m.end("den")).end()
-            )
+            raise PolynomialSyntaxError("zero denominator", m.start("den"))
         exps = [0] * num_vars
         power = None
         # an absent factors group spans (-1, -1), an empty window
@@ -109,9 +107,8 @@ def parse_polynomial(text: str, num_vars: int, num_u_vars: int = 0) -> GradedPol
         if (op == "^" and m["factors"] and power is None) or (
             op == "/" and m["factors"] is None and m["den"] is None
         ):
-            # the token after the operator is taken as the missing number
             raise PolynomialSyntaxError(
-                "expected a number", _TOKEN.match(text, pos + 1).end()
+                "expected a number", _SPACE.match(text, pos + 1).end()
             )
         raise PolynomialSyntaxError(
             f"expected '+' or '-', found {_TOKEN.match(text, pos)[1]!r}", pos

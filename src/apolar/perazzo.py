@@ -2,10 +2,10 @@
 
 A Perazzo polynomial of degree d is bihomogeneous of bidegree (1, d-1): a sum
 of x-variables each multiplied by a distinct degree-(d-1) monomial in the
-u-variables.  In the full case the u-monomials run over the entire monomial
-basis, so there are tau(n, d-1) x-variables.  Variables are always ordered
-x-block first, then u-block, and the u-monomial basis is the pinned lex
-order.
+u-variables.  This module builds the full case, where the u-monomials run
+over the entire monomial basis, so there are tau(n, d-1) x-variables.
+Variables are always ordered x-block first, then u-block, and the
+u-monomial basis is the pinned lex order.
 
 The sampling harness draws random polynomials of the matching codimension
 and socle degree and compares their Hilbert vectors against the full Perazzo
@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import DEFAULT_MATRIX_GUARD, check_guard
 from .linalg import rank
-from .monomials import ExponentVector, enumerate_exponents, monomial_count
+from .monomials import enumerate_exponents, monomial_count
 from .parsing import format_monomial
 from .polynomials import (
     DUAL_BASIS,
@@ -44,47 +44,19 @@ from .rng import substream
 RESAMPLE_CAP = 50
 
 
-@dataclass(frozen=True)
-class PerazzoSpec:
-    """Parameters of a Perazzo polynomial.
-
-    ``n`` counts the u-variables, ``d`` is the socle degree.  ``m_choice``
-    selects the u-monomials of a non-full Perazzo polynomial; when absent the
-    polynomial is full and uses the whole degree-(d-1) basis.
-    """
-
-    n: int
-    d: int
-    m_choice: Optional[tuple] = None
-
-    def u_monomials(self) -> tuple[ExponentVector, ...]:
-        if self.m_choice is None:
-            return enumerate_exponents(self.n, self.d - 1)
-        chosen = sorted(tuple(m) for m in self.m_choice)
-        if len(set(chosen)) != len(chosen):
-            raise ValueError("duplicate u-monomials")
-        if any(len(m) != self.n or sum(m) != self.d - 1 for m in chosen):
-            raise ValueError("u-monomials must have the declared arity and degree")
-        return tuple(chosen)
-
-
-def build_perazzo(spec: PerazzoSpec) -> GradedPolynomial:
-    """Coefficient-one Perazzo polynomial in x-block-then-u-block variables."""
-    if spec.n < 2 or spec.d < 2:
+def build_full_perazzo(n: int, d: int) -> GradedPolynomial:
+    """Coefficient-one full Perazzo polynomial in x-block-then-u-block
+    variables: the i-th x-variable times the i-th degree-(d-1) u-monomial,
+    summed over the whole u-basis."""
+    if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
-    monomials = spec.u_monomials()
+    monomials = enumerate_exponents(n, d - 1)
     p = len(monomials)
-    if p < 1:
-        raise ValueError("need at least one u-monomial")
     terms = {}
     for i, m in enumerate(monomials):
         x_part = tuple(1 if t == i else 0 for t in range(p))
         terms[x_part + m] = 1
-    return graded_polynomial(p + spec.n, terms)
-
-
-def build_full_perazzo(n: int, d: int) -> GradedPolynomial:
-    return build_perazzo(PerazzoSpec(n, d))
+    return graded_polynomial(p + n, terms)
 
 
 def is_bihomogeneous(f: GradedPolynomial, x_count: int) -> Optional[tuple[int, int]]:

@@ -9,8 +9,6 @@ from apolar.locus import (
     degree_step_matrix,
     derived_set,
     enumerate_admissible_supports,
-    full_perazzo_locus_dimension,
-    pairwise_gcd_bounded,
     projection_map_report,
     support_conditions,
     u_elimination_matrix,
@@ -105,16 +103,19 @@ def test_enumeration_deterministic():
     assert a == b
 
 
-def test_gcd_condition_golden():
-    assert pairwise_gcd_bounded([(3, 0, 0), (0, 3, 0)])
-    assert not pairwise_gcd_bounded([(2, 1), (1, 2)])
-    assert pairwise_gcd_bounded([(2, 0)])  # vacuous
+def _gcd_bound_holds(support):
+    """Every pair of distinct degree-d monomials has gcd degree at most d - 2."""
+    return all(
+        sum(map(min, a, b)) <= sum(a) - 2
+        for i, a in enumerate(support)
+        for b in support[i + 1 :]
+    )
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
 def test_admissible_supports_satisfy_gcd_bound(n, d):
     for comp in enumerate_admissible_supports(n, d):
-        assert pairwise_gcd_bounded(comp.support)
+        assert _gcd_bound_holds(comp.support)
 
 
 def test_full_perazzo_support_is_admissible_at_2_2():
@@ -125,13 +126,8 @@ def test_full_perazzo_support_is_admissible_at_2_2():
     supports = {c.support for c in comps}
     assert tuple(sorted(f.support())) in supports
     match = next(c for c in comps if c.support == tuple(sorted(f.support())))
-    assert match.dim_support == full_perazzo_locus_dimension(2, 2)
-
-
-def test_full_perazzo_locus_dimension_golden():
-    assert full_perazzo_locus_dimension(2, 2) == 1
-    assert full_perazzo_locus_dimension(2, 3) == 2
-    assert full_perazzo_locus_dimension(3, 2) == 2
+    # the full Perazzo locus has dimension tau(n, d-1) - 1
+    assert match.dim_support == monomial_count(2, 1) - 1
 
 
 def _distinct_images(m):
@@ -227,12 +223,18 @@ def test_u_elimination_whole_space_closed_form(n, d):
 )
 def test_unique_source_and_no_cross_collision_agree(n, d):
     # two sources (a, k) != (b, l) of one derivative a - e_k = b - e_l differ
-    # in both monomial and variable, so the two predicates coincide
+    # in both monomial and variable, so the two predicates coincide; and two
+    # distinct degree-d monomials share a derivative exactly when their gcd
+    # has degree d - 1, so both equal the pairwise gcd bound
     basis = enumerate_exponents(n, d)
     for mask in range(1, 1 << len(basis)):
         support = [basis[b] for b in range(len(basis)) if mask >> b & 1]
         conditions = support_conditions(support, n)
-        assert conditions.unique_derivative_source == conditions.no_cross_collision
+        assert (
+            conditions.unique_derivative_source
+            == conditions.no_cross_collision
+            == _gcd_bound_holds(support)
+        )
 
 
 def test_projection_report_discrepancies_are_reported_not_patched():

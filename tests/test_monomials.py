@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from apolar.monomials import (
     decrement_at,
     decrement_last,
-    delete_at,
     enumerate_exponents,
     iter_exponents,
     last_support_index,
     last_variable_multiples,
-    lex_compare,
     lex_min_preimage,
     lift_image,
     monomial_count,
@@ -47,37 +45,12 @@ def test_enumerate_small_cases():
 def test_enumerate_strictly_increasing():
     for n, d in [(2, 4), (3, 3), (4, 2)]:
         basis = enumerate_exponents(n, d)
-        assert all(
-            lex_compare(a, b) == -1 for a, b in zip(basis, basis[1:])
-        )
-
-
-def test_lex_compare_golden():
-    assert lex_compare((1, 2), (2, 1)) == -1
-    assert lex_compare((2, 1), (2, 0)) == 1
-    assert lex_compare((1, 1), (1, 1)) == 0
-
-
-def test_lex_compare_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        lex_compare((1,), (1, 2))
+        assert all(a < b for a, b in zip(basis, basis[1:]))
 
 
 vectors = st.lists(st.integers(min_value=0, max_value=6), min_size=3, max_size=3).map(
     tuple
 )
-
-
-@settings(max_examples=200)
-@given(vectors, vectors, vectors)
-def test_lex_is_a_total_order(a, b, c):
-    # antisymmetry
-    assert lex_compare(a, b) == -lex_compare(b, a)
-    # totality: one of the three outcomes always holds, and 0 only on equality
-    assert (lex_compare(a, b) == 0) == (a == b)
-    # transitivity
-    if lex_compare(a, b) <= 0 and lex_compare(b, c) <= 0:
-        assert lex_compare(a, c) <= 0
 
 
 def test_decrement_at():
@@ -94,14 +67,6 @@ def test_decrement_lowers_degree_by_one(vec, k):
     out = decrement_at(vec, k)
     if out is not None:
         assert sum(out) == sum(vec) - 1
-
-
-def test_delete_at():
-    assert delete_at((2, 1, 3), 2) == (2, 3)
-    assert delete_at((0, 5), 1) == (5,)
-    assert delete_at((1, 1, 0), 3) == (1, 1)
-    with pytest.raises(ValueError):
-        delete_at((4,), 1)
 
 
 def test_last_support_index():

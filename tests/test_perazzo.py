@@ -6,9 +6,7 @@ from apolar.cli import main
 from apolar.errors import GuardExceeded
 from apolar.monomials import monomial_count
 from apolar.perazzo import (
-    PerazzoSpec,
     build_full_perazzo,
-    build_perazzo,
     coefficient_one_minimality_check,
     conjecture_sample_check,
     degree2_census,
@@ -51,17 +49,9 @@ def test_every_term_has_one_x_of_exponent_one():
 
 def test_build_rejects_bad_spec():
     with pytest.raises(ValueError):
-        build_perazzo(PerazzoSpec(1, 3))
+        build_full_perazzo(1, 3)
     with pytest.raises(ValueError):
-        build_perazzo(PerazzoSpec(2, 3, m_choice=((2, 0), (2, 0))))
-    with pytest.raises(ValueError):
-        build_perazzo(PerazzoSpec(2, 3, m_choice=((1, 0),)))  # wrong degree
-
-
-def test_partial_perazzo_choice():
-    f = build_perazzo(PerazzoSpec(2, 3, m_choice=((2, 0), (0, 2))))
-    assert f.num_vars == 4
-    assert f.support() == ((0, 1, 2, 0), (1, 0, 0, 2))
+        build_full_perazzo(2, 1)
 
 
 def test_bihomogeneous():

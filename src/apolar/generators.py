@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, mul
+from typing import Mapping
 
 from .complexes import complex_of, minimal_nonfaces
 from .errors import DEFAULT_SUBSET_GUARD, check_guard
 from .linalg import Echelon, integer_row, rank
-from .monomials import ExponentVector, enumerate_exponents, monomial_count
+from .monomials import ExponentVector, basis_index, enumerate_exponents, monomial_count
 from .polynomials import (
     DUAL_BASIS,
     GradedPolynomial,
@@ -76,11 +77,11 @@ def _ideal_span(
     generators: list[tuple[int, GradedPolynomial]],
     n: int,
     j: int,
-) -> tuple[dict[ExponentVector, int], Echelon]:
+) -> tuple[Mapping[ExponentVector, int], Echelon]:
     """Span of all degree-j monomial multiples of the given generators, as an
     echelon of ``int`` vectors, and the position of each degree-j monomial in
     those vectors."""
-    index = {m: t for t, m in enumerate(enumerate_exponents(n, j))}
+    index = basis_index(n, j)
     span = Echelon()
     for degree, poly in generators:
         if degree > j:
@@ -94,7 +95,7 @@ def _ideal_span(
     return index, span
 
 
-def _unit(index: dict[ExponentVector, int], m: ExponentVector) -> list[int]:
+def _unit(index: Mapping[ExponentVector, int], m: ExponentVector) -> list[int]:
     v = [0] * len(index)
     v[index[m]] = 1
     return v

@@ -4,11 +4,11 @@ Entries are ``int`` or ``fractions.Fraction``, with no floating point
 anywhere.  Rows are scaled to integers by the lcm of their denominators.  One
 elimination loop, ``Echelon``, serves every caller: it is Bareiss elimination
 (Math. Comp. 22, 1968) with rows taken one at a time in arrival order, so
-entries stay minors of the input.  ``rank`` counts its pivots,
-``kernel_basis`` finishes it into the Gauss-Jordan form, divided once at the
-end, and the generator spans in ``generators`` are echelons over a monomial
-basis.  The reduced row echelon form is unique, so identical inputs give
-identical outputs.
+entries stay minors of the input.  ``rank`` stops at min(rows, cols) pivots of
+the longer side's lines, past which every line is in the span; ``kernel_basis``
+finishes the echelon into the Gauss-Jordan form, divided once at the end, and
+the generator spans in ``generators`` are echelons over a monomial basis.  The
+reduced row echelon form is unique, so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -127,8 +127,16 @@ class Echelon:
 
 
 def rank(m: RationalMatrix) -> int:
-    """Rank over the rationals, computed exactly."""
-    return len(Echelon(map(m.row, range(m.rows))).pivots)
+    """Rank over the rationals, computed exactly: the echelon of the lines of
+    the longer side, stopped once the pivot count reaches min(rows, cols)."""
+    tall = m.rows >= m.cols
+    lines = map(m.row, range(m.rows)) if tall else map(m.column, range(m.cols))
+    span = Echelon()
+    for line in lines:
+        if len(span.pivots) == min(m.rows, m.cols):
+            break
+        span.add(line)
+    return len(span.pivots)
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .errors import DEFAULT_ENUMERATION_GUARD, DEFAULT_MATRIX_GUARD, check_guard
 from .monomials import (
     ExponentVector,
+    basis_index,
     decrement_at,
     decrement_last,
     enumerate_exponents,
@@ -160,8 +161,7 @@ def u_elimination_matrix(
     check_guard("matrix dimension", size, max_dim, "--max-dim / max_dim")
     killed_x = frozenset(k - 1 for k in last_variable_multiples(n, d))
     source = enumerate_exponents(p + n, d)
-    target = enumerate_exponents(p_target + (n - 1), d)
-    target_index = {m: t for t, m in enumerate(target)}
+    target_index = basis_index(p_target + (n - 1), d)
     images: list[int | None] = []
     for vec in source:
         x_part, u_part = vec[:p], vec[p:]
@@ -170,7 +170,7 @@ def u_elimination_matrix(
             continue
         reduced_x = tuple(e for t, e in enumerate(x_part) if t not in killed_x)
         images.append(target_index[reduced_x + u_part[: n - 1]])
-    return ProjectionMap(len(target), tuple(images))
+    return ProjectionMap(len(target_index), tuple(images))
 
 
 def degree_step_matrix(
@@ -200,8 +200,7 @@ def degree_step_matrix(
     eligible = tuple(k - 1 for k in last_variable_multiples(n, d))
     u_image = lift_image(n, d - 1)
     source = enumerate_exponents(p + n, d)
-    target = enumerate_exponents(p_target + n, d - 1)
-    target_index = {m: t for t, m in enumerate(target)}
+    target_index = basis_index(p_target + n, d - 1)
     images: list[int | None] = []
     for vec in source:
         x_part, u_part = vec[:p], vec[p:]
@@ -213,7 +212,7 @@ def degree_step_matrix(
         images.append(
             target_index[new_x + decrement_last(u_part)] if any(new_x) else None
         )
-    return ProjectionMap(len(target), tuple(images))
+    return ProjectionMap(len(target_index), tuple(images))
 
 
 def _map_report(projection: ProjectionMap, formula_value: int) -> dict:

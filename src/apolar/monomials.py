@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from .errors import InternalInvariantError
 
@@ -61,6 +62,12 @@ def iter_exponents(n: int, d: int) -> Iterator[ExponentVector]:
 def enumerate_exponents(n: int, d: int) -> tuple[ExponentVector, ...]:
     """Materialized (and cached) form of :func:`iter_exponents`."""
     return tuple(iter_exponents(n, d))
+
+
+@lru_cache(maxsize=4096)
+def basis_index(n: int, d: int) -> Mapping[ExponentVector, int]:
+    """Read-only, cached position of each vector in :func:`enumerate_exponents`."""
+    return MappingProxyType({m: t for t, m in enumerate(enumerate_exponents(n, d))})
 
 
 def decrement_at(vec: ExponentVector, k: int) -> Optional[ExponentVector]:

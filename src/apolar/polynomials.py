@@ -24,13 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import perm, prod
-from operator import add
+from operator import sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .linalg import RationalMatrix, kernel_basis, rank
-from .monomials import ExponentVector, enumerate_exponents, monomial_count
+from .monomials import ExponentVector, basis_index, enumerate_exponents, monomial_count
 
 _ZERO = Fraction(0)
 
@@ -157,23 +159,40 @@ def catalecticant_matrix(
     Rows are indexed by the degree-(d-j) basis, columns by the degree-j basis,
     both in the pinned ascending lex order.  Entries are ``int`` where
     integral and ``Fraction`` otherwise.
+
+    The matrix is Hankel, entry (r, c) being the coefficient of x^(r+c): each
+    term of f is written at the positions of its degree-j divisors, memoized
+    per term exponent and pair {j, d-j}, so only the exponents f uses expand.
     """
     if not 0 <= j <= f.degree:
         raise ValueError(f"degree {j} outside 0..{f.degree}")
-    n = f.num_vars
-    row_basis = enumerate_exponents(n, f.degree - j)
-    col_basis = enumerate_exponents(n, j)
-    coeffs = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
-    flat: list = []
-    for r in row_basis:
-        for c in col_basis:
-            target = tuple(map(add, r, c))
-            coeff = coeffs.get(target, 0)
-            if coeff and convention is not DUAL_BASIS:
-                # x^c divides x^target, so the scale is never None
-                coeff *= _pair_coefficient(c, target, convention)
-            flat.append(coeff)
-    return RationalMatrix(len(row_basis), len(col_basis), tuple(flat))
+    col_basis = enumerate_exponents(f.num_vars, j)
+    rows, cols = monomial_count(f.num_vars, f.degree - j), len(col_basis)
+    low = min(j, f.degree - j)
+    flat: list = [0] * (rows * cols)
+    for b, coeff in f.terms.items():
+        coeff = coeff.numerator if coeff.denominator == 1 else coeff
+        for pos in _hankel_positions(b, low)[j > low]:
+            if convention is DUAL_BASIS:
+                flat[pos] = coeff
+            else:  # x^c divides x^b, so the scale is never None
+                c = col_basis[pos % cols]
+                flat[pos] = coeff * _pair_coefficient(c, b, convention)
+    return RationalMatrix(rows, cols, tuple(flat))
+
+
+@lru_cache(maxsize=1 << 13)
+def _hankel_positions(b: ExponentVector, low: int) -> tuple[tuple[int, ...], ...]:
+    """Flat positions of x^b's coefficient in C_low and C_(d-low), d = |b| >= 2 low:
+    entries (r, c) and (c, r) for each split x^b = x^c x^r with |c| = low."""
+    at_low, at_high = basis_index(len(b), low), basis_index(len(b), sum(b) - low)
+    into_low, into_high = [], []
+    for c in product(*[range(min(e, low) + 1) for e in b]):
+        if sum(c) == low:
+            s, t = at_low[c], at_high[tuple(map(sub, b, c))]
+            into_low.append(t * len(at_low) + s)
+            into_high.append(s * len(at_high) + t)
+    return tuple(into_low), tuple(into_high)
 
 
 def annihilator_dimension(

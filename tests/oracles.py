@@ -8,6 +8,7 @@ double-computed.
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 from apolar.monomials import enumerate_exponents
 
@@ -79,6 +80,26 @@ def contract_dual(op_exps, terms):
             r = tuple(e - o for o, e in zip(op_exps, b))
             out[r] = out.get(r, Fraction(0)) + Fraction(coeff)
     return {k: v for k, v in out.items() if v}
+
+
+def catalecticant_by_lookup(num_vars, terms, j, differentiate=False):
+    """Rows of the degree-j catalecticant read entry by entry: entry (r, c)
+    is the coefficient of x^(r+c), times prod (r+c)_i! / r_i! when
+    differentiating.  Rows run over the degree-(d-j) basis, columns over the
+    degree-j basis."""
+    degree = sum(next(iter(terms)))
+    out = []
+    for r in enumerate_exponents(num_vars, degree - j):
+        row = []
+        for c in enumerate_exponents(num_vars, j):
+            b = tuple(x + y for x, y in zip(r, c))
+            value = Fraction(terms.get(b, 0))
+            if differentiate:
+                for bi, ri in zip(b, r):
+                    value *= Fraction(factorial(bi), factorial(ri))
+            row.append(value)
+        out.append(row)
+    return out
 
 
 def hilbert_via_pairing(num_vars, terms):

@@ -27,6 +27,59 @@ def test_rank_proportional_rows():
     assert rank(m) == 1
 
 
+def _from_rows(data):
+    return RationalMatrix(len(data), len(data[0]), tuple(x for row in data for x in row))
+
+
+# rank eliminates the longer side and stops at min(rows, cols) pivots; these
+# cases sit at the edges of that stop
+_EARLY_STOP_CASES = {
+    # wide: columns 1 and 2 are multiples of column 0, the rest independent
+    "wide_dependent_leading_columns": [[1, 2, -3, 0, 5, 1], [2, 4, -6, 1, 0, 1]],
+    # tall: full column rank after two rows, then nonzero rows that are
+    # dependent on them and would change nothing
+    "tall_full_rank_before_trailing_rows": [[1, 0], [0, 1], [3, 4], [Fraction(1, 2), 7], [5, -6]],
+    # the second pivot arrives on the last row
+    "tall_full_rank_on_last_row": [[1, 2], [2, 4], [-3, -6], [0, 5]],
+    # the second pivot arrives on the last column
+    "wide_full_rank_on_last_column": [[1, 2, 3, 0], [2, 4, 6, Fraction(1, 3)]],
+    # never full rank: every line is reduced
+    "square_rank_deficient": [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EARLY_STOP_CASES))
+def test_rank_early_stop_edges_agree_with_the_oracle(case):
+    data = _EARLY_STOP_CASES[case]
+    assert rank(_from_rows(data)) == row_reduce_rank(data)
+    transposed = [list(col) for col in zip(*data)]
+    assert rank(_from_rows(transposed)) == row_reduce_rank(transposed)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (4, 0)])
+def test_rank_of_empty_matrices(rows, cols):
+    data = [[] for _ in range(rows)]
+    assert rank(RationalMatrix(rows, cols, ())) == row_reduce_rank(data) == 0
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_rank_stops_after_the_shorter_side_on_full_rank(monkeypatch, transpose):
+    calls = []
+    add = Echelon.add
+
+    def counting_add(self, row):
+        calls.append(len(row))
+        return add(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counting_add)
+    data = [[1, 0, 0], [0, 2, 0], [0, 0, 3]] + [[k, k + 1, k + 2] for k in range(20)]
+    if transpose:
+        data = [list(col) for col in zip(*data)]
+    assert rank(_from_rows(data)) == 3 == row_reduce_rank(data)
+    # a tall matrix gives its rows, a wide one its columns: 3 lines of 3
+    assert calls == [3, 3, 3]
+
+
 def test_kernel_identity_empty():
     m = RationalMatrix.from_rows([[1, 0], [0, 1]])
     assert kernel_basis(m) == []

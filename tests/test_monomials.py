@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apolar.monomials import (
+    basis_index,
     decrement_at,
     decrement_last,
     enumerate_exponents,
@@ -160,3 +161,13 @@ def test_enumerate_matches_sorted_product():
             v for v in itertools.product(range(d + 1), repeat=n) if sum(v) == d
         )
         assert list(enumerate_exponents(n, d)) == expected, (n, d)
+
+
+def test_basis_index_inverts_the_enumeration_and_is_read_only():
+    for n, d in [(1, 0), (2, 5), (4, 3)]:
+        index = basis_index(n, d)
+        assert [index[m] for m in enumerate_exponents(n, d)] == list(range(len(index)))
+        assert len(index) == monomial_count(n, d)
+        assert basis_index(n, d) is index
+    with pytest.raises(TypeError):
+        index[(0, 0, 0, 3)] = 0

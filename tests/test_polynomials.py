@@ -2,6 +2,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apolar.polynomials import (
     DIFFERENTIATION,
@@ -23,7 +25,7 @@ from apolar.linalg import rank
 from apolar.monomials import enumerate_exponents, monomial_count
 from apolar.rng import substream
 
-from oracles import hilbert_via_pairing
+from oracles import catalecticant_by_lookup, hilbert_via_pairing
 from sampling import random_polynomial, random_standard_polynomial, seeded_cases
 
 
@@ -105,6 +107,32 @@ def test_catalecticant_single_variable_chain():
         m = catalecticant_matrix(f, j)
         assert (m.rows, m.cols) == (1, 1)
         assert m.entry(0, 0) == 1
+
+
+_coefficients = st.builds(
+    Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 6)
+)
+
+
+@st.composite
+def _forms(draw):
+    n, d = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    basis = enumerate_exponents(n, d)
+    terms = draw(st.dictionaries(st.sampled_from(basis), _coefficients, min_size=1))
+    return graded_polynomial(n, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_forms())
+def test_catalecticant_agrees_with_the_lookup_oracle(f):
+    for convention in (DUAL_BASIS, DIFFERENTIATION):
+        for j in range(f.degree + 1):
+            m = catalecticant_matrix(f, j, convention)
+            expected = catalecticant_by_lookup(
+                f.num_vars, f.terms, j, differentiate=convention is DIFFERENTIATION
+            )
+            assert (m.rows, m.cols) == (len(expected), len(expected[0]))
+            assert m.to_lists() == expected
 
 
 def test_catalecticant_rank_paper_example():

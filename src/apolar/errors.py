@@ -3,7 +3,8 @@
 # Largest catalecticant or projection-map dimension a command builds unless
 # its ``max_dim`` parameter or ``--max-dim`` flag says otherwise.
 DEFAULT_MATRIX_GUARD = 20000
-# Largest degree-d basis whose support subsets ``locus enumerate`` scans.
+# Largest degree-d basis ``locus enumerate`` searches for admissible supports;
+# the search follows its output, which can grow exponentially with the basis.
 DEFAULT_ENUMERATION_GUARD = 20
 # Most operator supports the equal-image class scan walks.
 DEFAULT_SUBSET_GUARD = 1 << 16

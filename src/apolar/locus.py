@@ -6,7 +6,10 @@ conditions on its partial-derivative exponent vectors hold (every variable is
 hit, each derived vector arises from at most one source, and no two distinct
 sources collide).  These predicates are implemented literally as stated in
 the source characterization, even where they disagree with the linear-algebra
-notion of standardness; the CLI reports both verdicts side by side.
+notion of standardness; the CLI reports both verdicts side by side.  The last
+two predicates both say that no two support monomials share a first
+derivative, so the catalog is found by backtracking over that conflict graph
+(Knuth, TAOCP Vol. 4B, 7.2.2) rather than by testing every subset.
 
 This module also builds the two projection maps between ambient Perazzo
 polynomial spaces (eliminating the last u-variable, and stepping the degree
@@ -20,6 +23,8 @@ form, the discrepancy is reported verbatim, never patched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 from .errors import DEFAULT_ENUMERATION_GUARD, DEFAULT_MATRIX_GUARD, check_guard
 from .monomials import (
@@ -108,20 +113,48 @@ def enumerate_admissible_supports(
     """All support subsets of the degree-d basis passing every admissibility
     predicate, in deterministic (subset bitmask) order.
 
-    The scan is exponential in the basis size, hence the guard.
+    They are the variable-covering independent sets of the graph joining two
+    monomials that share a first derivative (b = a - e_k + e_l), listed by
+    backtracking over bitmasks; a branch stops once the basis suffix left
+    cannot cover the missing variables.  The output can grow exponentially
+    with the basis, hence the guard.
     """
     check_guard("basis size", monomial_count(n, d), max_basis, "--guard / max_basis")
     basis = enumerate_exponents(n, d)
+    index = basis_index(n, d)
+    sharing: dict[ExponentVector, int] = {}  # derivative -> its sources' bits
+    for vec, _, down in _derivative_pairs(basis, n):
+        sharing[down] = sharing.get(down, 0) | 1 << index[vec]
+    # uses[i]: the variables basis[i] hits; conflict[i] also holds bit i itself
+    uses = [0] * len(basis)
+    conflict = [0] * len(basis)
+    for vec, k, down in _derivative_pairs(basis, n):
+        uses[index[vec]] |= 1 << (k - 1)
+        conflict[index[vec]] |= sharing[down]
+    full = (1 << n) - 1
+    # suffix_uses[j]: the variables that the basis from position j on uses
+    suffix_uses = list(accumulate(reversed(uses), or_, initial=0))[::-1]
+    masks = []
+
+    def extend(chosen: int, allowed: int, used: int) -> None:
+        # ``allowed`` holds the positions above chosen's that conflict with none
+        while allowed:
+            j = (allowed & -allowed).bit_length() - 1
+            if used | suffix_uses[j] != full:
+                return
+            allowed &= allowed - 1
+            if used | uses[j] == full:
+                masks.append(chosen | 1 << j)
+            extend(chosen | 1 << j, allowed & ~conflict[j], used | uses[j])
+
+    extend(0, (1 << len(basis)) - 1, 0)
     out = []
-    for mask in range(1, 1 << len(basis)):
+    for mask in sorted(masks):
         support = tuple(basis[b] for b in range(len(basis)) if mask >> b & 1)
-        if support_conditions(support, n).all_hold:
-            derived = derived_set(support, n)
-            out.append(
-                ComponentDescriptor(
-                    support, derived, len(support) - 1, len(derived) - 1
-                )
-            )
+        derived = derived_set(support, n)
+        out.append(
+            ComponentDescriptor(support, derived, len(support) - 1, len(derived) - 1)
+        )
     return out
 
 

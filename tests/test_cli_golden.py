@@ -115,6 +115,12 @@ GOLDEN = {
         ["locus", "enumerate", "--nvars", "2", "--degree", "6"],
         "772dde39f8eabe16766b22aa7c9a3785b503c49f1538eba25db521552390b679",
     ),
+    # recorded on the subset scan, where it took about 40 s; (4,3) is the
+    # largest basis (20 monomials) the default enumeration guard accepts
+    "locus-enumerate-4-3-json": (
+        ["locus", "enumerate", "--nvars", "4", "--degree", "3"],
+        "9c6d5ef4c38606dd1fffe9a0eba204624a73768785428cee0c5d2d05cc27772a",
+    ),
     "locus-stcheck-3-3": (
         ["locus", "stcheck", "--poly", "x1^2*x2 + x1*x2^2 + x2*x3^2", "--nvars", "3"],
         "0ddb55c2b91646d31a9a028b12c55f8edca39151f9c7fd6e87ec28a3fc51f713",

@@ -13,7 +13,12 @@ from apolar.locus import (
     support_conditions,
     u_elimination_matrix,
 )
-from apolar.monomials import decrement_at, enumerate_exponents, monomial_count
+from apolar.monomials import (
+    basis_index,
+    decrement_at,
+    enumerate_exponents,
+    monomial_count,
+)
 from apolar.perazzo import build_full_perazzo
 from apolar.polynomials import coefficient_one_poly, is_standard
 
@@ -69,10 +74,28 @@ def _bruteforce_admissible(n, d):
     return out
 
 
-@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize(
+    "n,d",
+    [
+        (1, 1), (1, 4), (2, 1), (3, 1), (2, 2), (2, 3), (3, 2),
+        (2, 4), (2, 6), (3, 3), (4, 2),
+    ],
+)
 def test_enumeration_matches_bruteforce(n, d):
     enumerated = [c.support for c in enumerate_admissible_supports(n, d)]
     assert enumerated == _bruteforce_admissible(n, d)
+
+
+def test_enumeration_scans_no_subsets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("support_conditions called by the enumeration")
+
+    monkeypatch.setattr("apolar.locus.support_conditions", refuse)
+    comps = enumerate_admissible_supports(3, 4)
+    assert len(comps) == 350
+    index = basis_index(3, 4)
+    masks = [sum(1 << index[m] for m in c.support) for c in comps]
+    assert all(a < b for a, b in zip(masks, masks[1:]))
 
 
 def test_enumeration_dimensions_and_derived_sets():

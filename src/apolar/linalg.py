@@ -37,33 +37,11 @@ class RationalMatrix:
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
 
-    @staticmethod
-    def from_rows(rows_data) -> "RationalMatrix":
-        rows_data = [list(row) for row in rows_data]
-        nrows = len(rows_data)
-        ncols = len(rows_data[0]) if rows_data else 0
-        flat = []
-        for row in rows_data:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(Fraction(x) for x in row)
-        return RationalMatrix(nrows, ncols, tuple(flat))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix(rows, cols, (0,) * (rows * cols))
-
-    def entry(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
         return self.entries[j :: self.cols]
-
-    def to_lists(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
 
 def integer_row(values) -> Sequence[int]:

@@ -2,14 +2,15 @@
 
 The standard locus of degree-d forms decomposes into components indexed by
 admissible supports; a support is admissible when three combinatorial
-conditions on its partial-derivative exponent vectors hold (every variable is
-hit, each derived vector arises from at most one source, and no two distinct
-sources collide).  These predicates are implemented literally as stated in
-the source characterization, even where they disagree with the linear-algebra
-notion of standardness; the CLI reports both verdicts side by side.  The last
-two predicates both say that no two support monomials share a first
-derivative, so the catalog is found by backtracking over that conflict graph
-(Knuth, TAOCP Vol. 4B, 7.2.2) rather than by testing every subset.
+conditions on its first derivatives hold (every variable is hit, each
+derivative arises from at most one source, and no two distinct sources
+collide).  All three are read from one table of the derivatives and their
+sources.  The last two agree, since two distinct sources of one derivative
+differ in both monomial and variable: both say that no two support monomials
+share a derivative, so the catalog is found by backtracking over that
+conflict graph (Knuth, TAOCP Vol. 4B, 7.2.2), not by testing every subset.
+The predicates can disagree with the linear-algebra notion of standardness;
+the CLI reports both verdicts side by side.
 
 This module also builds the two projection maps between ambient Perazzo
 polynomial spaces (eliminating the last u-variable, and stepping the degree
@@ -22,7 +23,8 @@ form, the discrepancy is reported verbatim, never patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import reduce
 from itertools import accumulate
 from operator import or_
 
@@ -30,7 +32,6 @@ from .errors import DEFAULT_ENUMERATION_GUARD, DEFAULT_MATRIX_GUARD, check_guard
 from .monomials import (
     ExponentVector,
     basis_index,
-    decrement_at,
     decrement_last,
     enumerate_exponents,
     last_variable_multiples,
@@ -49,11 +50,7 @@ class SupportConditions:
 
     @property
     def all_hold(self) -> bool:
-        return (
-            self.covers_all_variables
-            and self.unique_derivative_source
-            and self.no_cross_collision
-        )
+        return all(astuple(self))
 
 
 @dataclass(frozen=True)
@@ -71,38 +68,37 @@ class ComponentDescriptor:
     dim_derived: int
 
 
-def _derivative_pairs(support, num_vars: int):
-    for vec in support:
-        for k in range(1, num_vars + 1):
-            down = decrement_at(vec, k)
-            if down is not None:
-                yield vec, k, down
+def _derivative_table(support, num_vars: int) -> tuple[dict, list[int]]:
+    """``sources``: each first derivative -> the bitmask of the support
+    positions it comes from; ``uses``: each position's bitmask of variables."""
+    sources: dict[ExponentVector, int] = {}
+    uses = []
+    for i, vec in enumerate(support):
+        if len(vec) != num_vars:
+            raise ValueError(f"exponent vector {vec} does not have {num_vars} entries")
+        uses.append(0)
+        for k, e in enumerate(vec):
+            if e:  # the derivative by variable k + 1
+                uses[-1] |= 1 << k
+                down = vec[:k] + (e - 1,) + vec[k + 1 :]
+                sources[down] = sources.get(down, 0) | 1 << i
+    return sources, uses
 
 
 def support_conditions(support, num_vars: int) -> SupportConditions:
-    """Evaluate the three admissibility predicates on a support set."""
-    support = sorted(tuple(m) for m in support)
-    hit_variables = set()
-    sources: dict[ExponentVector, list] = {}
-    for vec, k, down in _derivative_pairs(support, num_vars):
-        hit_variables.add(k)
-        sources.setdefault(down, []).append((vec, k))
-    covers = len(hit_variables) == num_vars
-    unique = all(len(v) <= 1 for v in sources.values())
-    collision = any(
-        v1 != v2 and k1 != k2
-        for pairs in sources.values()
-        for v1, k1 in pairs
-        for v2, k2 in pairs
-    )
-    return SupportConditions(covers, unique, not collision)
+    """The three admissibility predicates on a support set; repeats count once.
+    ``no_cross_collision`` takes the value of ``unique_derivative_source``: two
+    sources (a, k) != (b, l) of one derivative a - e_k = b - e_l differ in both
+    monomial and variable (a = b forces k = l), so any two of them collide."""
+    sources, uses = _derivative_table({tuple(m) for m in support}, num_vars)
+    covers = reduce(or_, uses, 0) == (1 << num_vars) - 1
+    unique = all(mask.bit_count() <= 1 for mask in sources.values())
+    return SupportConditions(covers, unique, unique)
 
 
 def derived_set(support, num_vars: int) -> tuple[ExponentVector, ...]:
     """All defined derivative exponent vectors of the support, sorted."""
-    return tuple(
-        sorted({down for _, _, down in _derivative_pairs(support, num_vars)})
-    )
+    return tuple(sorted(_derivative_table(support, num_vars)[0]))
 
 
 def enumerate_admissible_supports(
@@ -121,16 +117,12 @@ def enumerate_admissible_supports(
     """
     check_guard("basis size", monomial_count(n, d), max_basis, "--guard / max_basis")
     basis = enumerate_exponents(n, d)
-    index = basis_index(n, d)
-    sharing: dict[ExponentVector, int] = {}  # derivative -> its sources' bits
-    for vec, _, down in _derivative_pairs(basis, n):
-        sharing[down] = sharing.get(down, 0) | 1 << index[vec]
-    # uses[i]: the variables basis[i] hits; conflict[i] also holds bit i itself
-    uses = [0] * len(basis)
-    conflict = [0] * len(basis)
-    for vec, k, down in _derivative_pairs(basis, n):
-        uses[index[vec]] |= 1 << (k - 1)
-        conflict[index[vec]] |= sharing[down]
+    sources, uses = _derivative_table(basis, n)
+    # conflict[i]: the positions sharing a derivative with basis[i], i included
+    conflict = [
+        reduce(or_, (mask for mask in sources.values() if mask >> i & 1), 0)
+        for i in range(len(basis))
+    ]
     full = (1 << n) - 1
     # suffix_uses[j]: the variables that the basis from position j on uses
     suffix_uses = list(accumulate(reversed(uses), or_, initial=0))[::-1]

@@ -154,6 +154,17 @@ def _standard_draw(seed: int, trial: int, basis, num_vars: int) -> Optional[Grad
     return None
 
 
+def _dominated_draw(h, terms) -> dict:
+    """The record of a draw whose Hilbert vector ``h`` lies strictly below the
+    vector it was compared with: ``h`` and the draw's coefficients."""
+    return {
+        "hilbert": list(h),
+        "coefficients": [
+            [format_monomial(e), str(c)] for e, c in sorted(terms.items())
+        ],
+    }
+
+
 def _conjecture_trial(args) -> dict:
     seed, trial, num_vars, d, reference = args
     basis = enumerate_exponents(num_vars, d)
@@ -164,12 +175,7 @@ def _conjecture_trial(args) -> dict:
     verdict = compare_hilbert(h, reference)
     out = {"trial": trial, "verdict": verdict.value}
     if verdict is HilbertOrder.LESS_EQ:
-        out["violator"] = {
-            "hilbert": list(h),
-            "coefficients": [
-                [format_monomial(e), str(c)] for e, c in sorted(f.terms.items())
-            ],
-        }
+        out["violator"] = _dominated_draw(h, f.terms)
     return out
 
 
@@ -261,16 +267,7 @@ def coefficient_one_minimality_check(
         verdict = compare_hilbert(h_ones, h_random)
         verdicts.append(verdict.value)
         if verdict is HilbertOrder.GREATER_EQ:
-            counterexamples.append(
-                {
-                    "trial": trial,
-                    "hilbert": list(h_random),
-                    "coefficients": [
-                        [format_monomial(e), str(c)]
-                        for e, c in sorted(terms.items())
-                    ],
-                }
-            )
+            counterexamples.append({"trial": trial, **_dominated_draw(h_random, terms)})
     return {
         "support": [format_monomial(m) for m in support],
         "num_vars": num_vars,

@@ -71,9 +71,6 @@ class GradedPolynomial:
     def support(self) -> tuple[ExponentVector, ...]:
         return tuple(sorted(self.terms))
 
-    def coefficient(self, exps: ExponentVector) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
-
     def is_coefficient_one(self) -> bool:
         return all(c == 1 for c in self.terms.values())
 

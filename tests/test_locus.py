@@ -6,6 +6,7 @@ from apolar.cli import main
 from apolar.errors import GuardExceeded
 from apolar.linalg import RationalMatrix, rank
 from apolar.locus import (
+    SupportConditions,
     degree_step_matrix,
     derived_set,
     enumerate_admissible_supports,
@@ -45,31 +46,52 @@ def test_missing_variable_fails_coverage():
     assert not conditions.covers_all_variables
 
 
+def test_a_support_is_a_set():
+    # a repeated monomial is one source, not two sharing every derivative
+    repeated = support_conditions([(2, 1), (2, 1)], 2)
+    assert repeated == support_conditions([(2, 1)], 2)
+    assert repeated.unique_derivative_source and repeated.no_cross_collision
+
+
+@pytest.mark.parametrize("monomial", [(2,), (2, 1, 0)])
+def test_monomial_of_the_wrong_length_is_refused(monomial):
+    with pytest.raises(ValueError, match="does not have 2 entries"):
+        support_conditions([(1, 1), monomial], 2)
+    with pytest.raises(ValueError, match="does not have 2 entries"):
+        derived_set([monomial], 2)
+
+
+def _literal_conditions(support, n):
+    """The three admissibility predicates, evaluated as literally stated on
+    the (source monomial, variable, derivative) triples of the support."""
+    pairs = []
+    for vec in support:
+        for k in range(1, n + 1):
+            down = decrement_at(vec, k)
+            if down is not None:
+                pairs.append((vec, k, down))
+    cover = {k for _, k, _ in pairs} == set(range(1, n + 1))
+    seen = {}
+    unique = True
+    for vec, k, down in pairs:
+        if down in seen and seen[down] != (vec, k):
+            unique = False
+        seen.setdefault(down, (vec, k))
+    collision = any(
+        d1 == d2 and v1 != v2 and k1 != k2
+        for v1, k1, d1 in pairs
+        for v2, k2, d2 in pairs
+    )
+    return cover, unique, not collision
+
+
 def _bruteforce_admissible(n, d):
     """Independent re-evaluation of the admissibility predicates."""
     basis = enumerate_exponents(n, d)
     out = []
     for mask in range(1, 1 << len(basis)):
         support = [basis[b] for b in range(len(basis)) if mask >> b & 1]
-        pairs = []
-        for vec in support:
-            for k in range(1, n + 1):
-                down = decrement_at(vec, k)
-                if down is not None:
-                    pairs.append((vec, k, down))
-        cover = {k for _, k, _ in pairs} == set(range(1, n + 1))
-        seen = {}
-        unique = True
-        for vec, k, down in pairs:
-            if down in seen and seen[down] != (vec, k):
-                unique = False
-            seen.setdefault(down, (vec, k))
-        collision = any(
-            d1 == d2 and v1 != v2 and k1 != k2
-            for v1, k1, d1 in pairs
-            for v2, k2, d2 in pairs
-        )
-        if cover and unique and not collision:
+        if all(_literal_conditions(support, n)):
             out.append(tuple(support))
     return out
 
@@ -216,8 +238,10 @@ def test_map_rank_is_distinct_image_count(n, d):
     builders = {"u_elimination": u_elimination_matrix, "degree_step": degree_step_matrix}
     for key in report:
         m = builders[key](n, d)
-        dense = RationalMatrix.from_rows(
-            [[int(image == r) for image in m.images] for r in range(m.rows)]
+        dense = RationalMatrix(
+            m.rows,
+            m.cols,
+            tuple(int(image == r) for r in range(m.rows) for image in m.images),
         )
         assert rank(dense) == _distinct_images(m) == report[key]["rank"]
 
@@ -245,19 +269,20 @@ def test_u_elimination_whole_space_closed_form(n, d):
     "n, d", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2)]
 )
 def test_unique_source_and_no_cross_collision_agree(n, d):
-    # two sources (a, k) != (b, l) of one derivative a - e_k = b - e_l differ
-    # in both monomial and variable, so the two predicates coincide; and two
-    # distinct degree-d monomials share a derivative exactly when their gcd
-    # has degree d - 1, so both equal the pairwise gcd bound
+    # support_conditions reads one derivative table and gives the last two
+    # predicates one value; the literal evaluation keeps them apart.  Two
+    # sources (a, k) != (b, l) of one derivative a - e_k = b - e_l differ in
+    # both monomial and variable, so the two coincide; and two distinct
+    # degree-d monomials share a derivative exactly when their gcd has degree
+    # d - 1, so both equal the pairwise gcd bound
     basis = enumerate_exponents(n, d)
     for mask in range(1, 1 << len(basis)):
         support = [basis[b] for b in range(len(basis)) if mask >> b & 1]
-        conditions = support_conditions(support, n)
-        assert (
-            conditions.unique_derivative_source
-            == conditions.no_cross_collision
-            == _gcd_bound_holds(support)
+        cover, unique, no_collision = _literal_conditions(support, n)
+        assert support_conditions(support, n) == SupportConditions(
+            cover, unique, no_collision
         )
+        assert unique == no_collision == _gcd_bound_holds(support)
 
 
 def test_projection_report_discrepancies_are_reported_not_patched():

@@ -1,8 +1,10 @@
-"""Every public function and class of the package has a caller that is not
-its own unit test: another definition in the package, the bench harness, or
-the acceptance suite.  A name that only its own tests call is dead weight."""
+"""Every public function and class of the package, and every public method
+of a public class, has a caller that is not its own unit test: another
+definition in the package, the bench harness, or the acceptance suite.  A
+name that only its own tests call is dead weight."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import apolar
@@ -15,27 +17,26 @@ REPO = PACKAGE.parent.parent
 EXEMPT = {"lex_min_preimage"}
 
 
-def _names(node) -> set:
-    return {
+def _names(node) -> Counter:
+    return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
-    }
+    )
 
 
-def _package_statements():
-    """Each top-level statement of the package, but ``__init__.py``, with the
-    name it defines (or None) and the names it uses."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+def _public_definitions(tree):
+    """The public top-level defs and classes of a module and the public
+    methods of its public classes, each with its label and node."""
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             continue
-        for stmt in ast.parse(path.read_text()).body:
-            defined = (
-                stmt.name
-                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                else None
-            )
-            yield path, defined, _names(stmt)
+        if stmt.name.startswith("_"):
+            continue
+        yield stmt.name, stmt
+        for item in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                yield f"{stmt.name}.{item.name}", item
 
 
 def _outside_references() -> set:
@@ -44,31 +45,32 @@ def _outside_references() -> set:
     used = set()
     for path in sorted((REPO / "bench").glob("*.py")):
         tree = ast.parse(path.read_text())
-        used |= _names(tree)
+        used.update(_names(tree))
         used |= {
             n.value
             for n in ast.walk(tree)
             if isinstance(n, ast.Constant) and isinstance(n.value, str)
         }
-    used |= _names(ast.parse((REPO / "tests" / "test_acceptance.py").read_text()))
+    used.update(_names(ast.parse((REPO / "tests" / "test_acceptance.py").read_text())))
     return used
 
 
 def test_every_public_name_has_a_caller_beyond_its_tests():
-    statements = list(_package_statements())
+    # ``__init__.py`` only re-exports, so its references do not count
+    modules = {
+        path: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    package = sum(map(_names, modules.values()), Counter())
     outside = _outside_references()
     unused = sorted(
-        f"{path.stem}.{name}"
-        for path, name, _ in statements
-        if name is not None
-        and not name.startswith("_")
-        and name not in EXEMPT
-        and name not in outside
+        f"{path.stem}.{label}"
+        for path, tree in modules.items()
+        for label, node in _public_definitions(tree)
+        if node.name not in EXEMPT
+        and node.name not in outside
         # its own module counts, its own definition does not
-        and not any(
-            name in used
-            for other, defined, used in statements
-            if (other, defined) != (path, name)
-        )
+        and package[node.name] == _names(node)[node.name]
     )
     assert unused == []

@@ -30,20 +30,14 @@ from .locus import (
     ProjectionMap,
     SupportConditions,
     degree_step_matrix,
-    derived_set,
     enumerate_admissible_supports,
     projection_map_report,
     support_conditions,
     u_elimination_matrix,
 )
 from .monomials import (
-    decrement_at,
-    decrement_last,
     enumerate_exponents,
     iter_exponents,
-    last_support_index,
-    last_variable_multiples,
-    lex_min_preimage,
     lift_image,
     monomial_count,
 )

@@ -57,7 +57,7 @@ def first_nonzero(row) -> int | None:
     return next(compress(count(), row), None)
 
 
-def row_step(p: int, row, a: int, pivot, q: int = 1) -> list[int]:
+def row_step(p: int, row, a: int, pivot, q: int) -> list[int]:
     """The row step of every elimination: ``(p * row - a * pivot) / q``, exact."""
     return [(p * x - a * y) // q for x, y in zip(row, pivot)]
 

@@ -32,9 +32,7 @@ from .errors import DEFAULT_ENUMERATION_GUARD, DEFAULT_MATRIX_GUARD, check_guard
 from .monomials import (
     ExponentVector,
     basis_index,
-    decrement_last,
     enumerate_exponents,
-    last_variable_multiples,
     lift_image,
     monomial_count,
 )
@@ -96,11 +94,6 @@ def support_conditions(support, num_vars: int) -> SupportConditions:
     return SupportConditions(covers, unique, unique)
 
 
-def derived_set(support, num_vars: int) -> tuple[ExponentVector, ...]:
-    """All defined derivative exponent vectors of the support, sorted."""
-    return tuple(sorted(_derivative_table(support, num_vars)[0]))
-
-
 def enumerate_admissible_supports(
     n: int,
     d: int,
@@ -143,7 +136,7 @@ def enumerate_admissible_supports(
     out = []
     for mask in sorted(masks):
         support = tuple(basis[b] for b in range(len(basis)) if mask >> b & 1)
-        derived = derived_set(support, n)
+        derived = tuple(sorted(k for k, src in sources.items() if src & mask))
         out.append(
             ComponentDescriptor(support, derived, len(support) - 1, len(derived) - 1)
         )
@@ -184,7 +177,9 @@ def u_elimination_matrix(
     p_target = monomial_count(n - 1, d - 1)
     size = monomial_count(p + n, d)  # the source basis is the larger one
     check_guard("matrix dimension", size, max_dim, "--max-dim / max_dim")
-    killed_x = frozenset(k - 1 for k in last_variable_multiples(n, d))
+    killed_x = frozenset(
+        t for t, m in enumerate(enumerate_exponents(n, d - 1)) if m[-1]
+    )
     source = enumerate_exponents(p + n, d)
     target_index = basis_index(p_target + (n - 1), d)
     images: list[int | None] = []
@@ -222,7 +217,7 @@ def degree_step_matrix(
     p_target = monomial_count(n, d - 2)
     size = monomial_count(p + n, d)  # the source basis is the larger one
     check_guard("matrix dimension", size, max_dim, "--max-dim / max_dim")
-    eligible = tuple(k - 1 for k in last_variable_multiples(n, d))
+    eligible = tuple(t for t, m in enumerate(enumerate_exponents(n, d - 1)) if m[-1])
     u_image = lift_image(n, d - 1)
     source = enumerate_exponents(p + n, d)
     target_index = basis_index(p_target + n, d - 1)
@@ -234,9 +229,8 @@ def degree_step_matrix(
             continue
         # u-degree d-1 leaves one x-variable; it survives at an eligible position
         new_x = tuple(x_part[t] for t in eligible)
-        images.append(
-            target_index[new_x + decrement_last(u_part)] if any(new_x) else None
-        )
+        lowered = u_part[:-1] + (u_part[-1] - 1,)  # u_part ends in a positive exponent
+        images.append(target_index[new_x + lowered] if any(new_x) else None)
     return ProjectionMap(len(target_index), tuple(images))
 
 

@@ -31,7 +31,6 @@ from .polynomials import (
     DUAL_BASIS,
     GradedPolynomial,
     HilbertOrder,
-    PairingConvention,
     annihilator_dimension,
     catalecticant_matrix,
     compare_hilbert,
@@ -75,7 +74,6 @@ def is_bihomogeneous(f: GradedPolynomial, x_count: int) -> Optional[tuple[int, i
 def full_perazzo_hilbert(
     n: int,
     d: int,
-    convention: PairingConvention = DUAL_BASIS,
     max_dim: int = DEFAULT_MATRIX_GUARD,
 ) -> tuple[int, ...]:
     if n < 2 or d < 2:
@@ -84,7 +82,7 @@ def full_perazzo_hilbert(
     # the largest catalecticant side is the degree-d basis (C_0 and C_d)
     size = monomial_count(num_vars, d)
     check_guard("catalecticant dimension", size, max_dim, "--max-dim / max_dim")
-    return hilbert_vector(build_full_perazzo(n, d), convention)
+    return hilbert_vector(build_full_perazzo(n, d))
 
 
 @dataclass(frozen=True)

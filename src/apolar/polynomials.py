@@ -50,14 +50,23 @@ DIFFERENTIATION = PairingConvention.DIFFERENTIATION
 class GradedPolynomial:
     """Homogeneous polynomial: ``terms`` maps exponent tuples to nonzero
     rationals.  An empty map is the zero polynomial of the given graded slot.
-    The value is immutable: ``terms`` is a read-only copy of the map given."""
+    The value is immutable: ``terms`` is a read-only copy of the map given.
+    Every term must have ``num_vars`` entries summing to ``degree``; unlike
+    :func:`graded_polynomial`, nothing is normalized."""
 
     num_vars: int
     degree: int
     terms: Mapping
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+        terms = MappingProxyType(dict(self.terms))
+        for exps in terms:
+            if len(exps) != self.num_vars or sum(exps) != self.degree:
+                raise ValueError(
+                    f"term {exps} is not of degree {self.degree} "
+                    f"in {self.num_vars} variables"
+                )
+        object.__setattr__(self, "terms", terms)
 
     def __hash__(self):
         return hash((self.num_vars, self.degree, frozenset(self.terms.items())))
@@ -247,14 +256,11 @@ def hilbert_vector(
     )
 
 
-def is_standard(
-    f: GradedPolynomial,
-    convention: PairingConvention = DUAL_BASIS,
-) -> bool:
+def is_standard(f: GradedPolynomial) -> bool:
     """True when no nonzero degree-1 operator annihilates ``f``."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    return annihilator_dimension(f, 1, convention) == 0
+    return annihilator_dimension(f, 1) == 0
 
 
 class HilbertOrder(Enum):

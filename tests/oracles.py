@@ -126,3 +126,25 @@ def divisor_set(exps):
     return {
         d for d in product(*(range(e + 1) for e in exps)) if sum(d) >= 1
     }
+
+
+def lower_at(vec, k):
+    """The exponent shift of the partial derivative by the ``k``-th variable
+    (1-based): ``vec - e_k``, or None where the ``k``-th exponent is zero."""
+    if not 1 <= k <= len(vec):
+        raise ValueError(f"variable index {k} out of range 1..{len(vec)}")
+    if vec[k - 1] == 0:
+        return None
+    return vec[: k - 1] + (vec[k - 1] - 1,) + vec[k:]
+
+
+def lower_last(vec):
+    """Lower the last positive exponent by one."""
+    return lower_at(vec, max(k for k, e in enumerate(vec, 1) if e))
+
+
+def lex_min_preimage(vec):
+    """The lift: the lex-smallest vector of one higher degree that
+    :func:`lower_last` sends to ``vec``, by search over the whole degree."""
+    higher = enumerate_exponents(len(vec), sum(vec) + 1)
+    return min(up for up in higher if lower_last(up) == vec)

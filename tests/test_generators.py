@@ -330,6 +330,17 @@ def test_subset_guard_refuses_just_over_limit():
     assert len(contraction_image_classes(f, 1, max_subsets=4)) == 3
 
 
+def test_extraction_passes_the_subset_guard_to_every_degree():
+    # the symmetric cubic's widest scan is in degree 2, where the six
+    # squarefree monomials survive: 2^6 = 64 subsets
+    f = _symmetric_cubic()
+    with pytest.raises(GuardExceeded) as refused:
+        extract_generators(f, max_subsets=63)
+    assert "64 exceeds the guard of 63" in str(refused.value)
+    assert "max_subsets" in str(refused.value)
+    assert extract_generators(f, max_subsets=64) == extract_generators(f)
+
+
 # Criterion 7's (3, 3) draws: random_coefficient_one_standard at substream
 # (52002, k) for k = 5, 13, ..., 797.  Extraction misses one degree-2
 # relation with a coefficient 2 on these forms; why is still open, and this

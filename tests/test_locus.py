@@ -8,20 +8,15 @@ from apolar.linalg import RationalMatrix, rank
 from apolar.locus import (
     SupportConditions,
     degree_step_matrix,
-    derived_set,
     enumerate_admissible_supports,
     projection_map_report,
     support_conditions,
     u_elimination_matrix,
 )
-from apolar.monomials import (
-    basis_index,
-    decrement_at,
-    enumerate_exponents,
-    monomial_count,
-)
+from apolar.monomials import basis_index, enumerate_exponents, monomial_count
 from apolar.perazzo import build_full_perazzo
 from apolar.polynomials import coefficient_one_poly, is_standard
+from oracles import lower_at
 
 
 def test_power_sum_support_is_admissible():
@@ -57,8 +52,6 @@ def test_a_support_is_a_set():
 def test_monomial_of_the_wrong_length_is_refused(monomial):
     with pytest.raises(ValueError, match="does not have 2 entries"):
         support_conditions([(1, 1), monomial], 2)
-    with pytest.raises(ValueError, match="does not have 2 entries"):
-        derived_set([monomial], 2)
 
 
 def _literal_conditions(support, n):
@@ -67,7 +60,7 @@ def _literal_conditions(support, n):
     pairs = []
     for vec in support:
         for k in range(1, n + 1):
-            down = decrement_at(vec, k)
+            down = lower_at(vec, k)
             if down is not None:
                 pairs.append((vec, k, down))
     cover = {k for _, k, _ in pairs} == set(range(1, n + 1))
@@ -121,10 +114,12 @@ def test_enumeration_scans_no_subsets(monkeypatch):
 
 
 def test_enumeration_dimensions_and_derived_sets():
-    for comp in enumerate_admissible_supports(2, 3):
-        assert comp.dim_support == len(comp.support) - 1
-        assert comp.dim_derived == len(comp.derived_set) - 1
-        assert comp.derived_set == derived_set(comp.support, 2)
+    for n, d in [(2, 3), (3, 4), (4, 3)]:
+        for comp in enumerate_admissible_supports(n, d):
+            assert comp.dim_support == len(comp.support) - 1
+            assert comp.dim_derived == len(comp.derived_set) - 1
+            derived = {lower_at(m, k) for m in comp.support for k in range(1, n + 1)}
+            assert comp.derived_set == tuple(sorted(derived - {None}))
 
 
 def test_power_sum_component_present_with_dimension():

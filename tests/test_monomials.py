@@ -6,16 +6,12 @@ from hypothesis import strategies as st
 
 from apolar.monomials import (
     basis_index,
-    decrement_at,
-    decrement_last,
     enumerate_exponents,
     iter_exponents,
-    last_support_index,
-    last_variable_multiples,
-    lex_min_preimage,
     lift_image,
     monomial_count,
 )
+from oracles import lex_min_preimage, lower_at, lower_last
 
 
 def test_monomial_count_values():
@@ -54,34 +50,28 @@ vectors = st.lists(st.integers(min_value=0, max_value=6), min_size=3, max_size=3
 )
 
 
+# The derivative shift and the lift are stated literally in the oracles; the
+# package reads lift_image and lowers the last exponent in place.
 def test_decrement_at():
-    assert decrement_at((2, 1), 2) == (2, 0)
-    assert decrement_at((2, 0), 2) is None
-    assert decrement_at((1, 1, 1), 1) == (0, 1, 1)
+    assert lower_at((2, 1), 2) == (2, 0)
+    assert lower_at((2, 0), 2) is None
+    assert lower_at((1, 1, 1), 1) == (0, 1, 1)
     with pytest.raises(ValueError):
-        decrement_at((1, 1), 3)
+        lower_at((1, 1), 3)
 
 
 @settings(max_examples=100)
 @given(vectors, st.integers(min_value=1, max_value=3))
 def test_decrement_lowers_degree_by_one(vec, k):
-    out = decrement_at(vec, k)
+    out = lower_at(vec, k)
     if out is not None:
         assert sum(out) == sum(vec) - 1
 
 
-def test_last_support_index():
-    assert last_support_index((1, 0, 2)) == 3
-    assert last_support_index((4, 0, 0)) == 1
-    assert last_support_index((0, 1, 0)) == 2
-    with pytest.raises(ValueError):
-        last_support_index((0, 0))
-
-
 def test_decrement_last():
-    assert decrement_last((1, 0, 2)) == (1, 0, 1)
-    assert decrement_last((0, 3)) == (0, 2)
-    assert decrement_last((2, 1, 0)) == (2, 0, 0)
+    assert lower_last((1, 0, 2)) == (1, 0, 1)
+    assert lower_last((0, 3)) == (0, 2)
+    assert lower_last((2, 1, 0)) == (2, 0, 0)
 
 
 def test_lex_min_preimage_golden():
@@ -93,44 +83,47 @@ def test_lex_min_preimage_golden():
 def test_lex_min_preimage_is_a_section():
     for n, d in [(2, 3), (3, 3), (3, 4)]:
         for j in enumerate_exponents(n, d - 1):
-            assert decrement_last(lex_min_preimage(j)) == j
+            assert lower_last(lex_min_preimage(j)) == j
+
+
+def _positions(n, d, subset):
+    """1-based positions of ``subset`` in the degree-``d`` basis."""
+    basis = enumerate_exponents(n, d)
+    return tuple(k + 1 for k, vec in enumerate(basis) if vec in subset)
 
 
 def test_last_variable_multiples_golden():
-    # degree-2 basis in 2 variables is u2^2, u1*u2, u1^2
-    assert last_variable_multiples(2, 3) == (1, 2)
-    assert last_variable_multiples(2, 2) == (1,)
+    # the degree-2 basis in 2 variables is u2^2, u1*u2, u1^2
+    assert lift_image(2, 2) == {(0, 2), (1, 1)}
+    assert lift_image(2, 1) == {(0, 1)}
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 4), (4, 3)])
 def test_last_variable_multiples_count(n, d):
-    count = len(last_variable_multiples(n, d))
+    count = len(lift_image(n, d - 1))
     assert count == monomial_count(n, d - 1) - monomial_count(n - 1, d - 1)
 
 
 def test_lift_image_positions_golden():
     # positions of lift_image(2, 2) in the degree-2 basis u2^2, u1*u2, u1^2
-    basis = enumerate_exponents(2, 2)
-    image = lift_image(2, 2)
-    positions = tuple(k + 1 for k, vec in enumerate(basis) if vec in image)
-    assert positions == (1, 2) == last_variable_multiples(2, 3)
+    assert _positions(2, 2, lift_image(2, 2)) == (1, 2)
 
 
-# The lift image's positions in the degree-(d-1) basis are the last-variable
-# multiples, so the lift-image position checks run on last_variable_multiples.
 @pytest.mark.parametrize("n,d", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 6), (2, 6)])
 def test_lift_image_positions_count(n, d):
     # the lift is injective, so its image has one element per lower monomial
-    assert len(last_variable_multiples(n, d)) == monomial_count(n, d - 2)
+    assert len(lift_image(n, d - 1)) == monomial_count(n, d - 2)
 
 
 def test_lift_image_positions_are_last_variable_multiples():
+    # the projection maps take the x-positions as the last-variable multiples
+    # of the degree-(d-1) basis; they are the positions of the lift's image
     for n in range(2, 6):
         for d in range(3, 7):
             basis = enumerate_exponents(n, d - 1)
             lifted = {lex_min_preimage(w) for w in enumerate_exponents(n, d - 2)}
-            positions = tuple(k + 1 for k, v in enumerate(basis) if v in lifted)
-            assert positions == last_variable_multiples(n, d), (n, d)
+            multiples = tuple(k + 1 for k, m in enumerate(basis) if m[-1])
+            assert _positions(n, d - 1, lifted) == multiples, (n, d)
 
 
 def test_lift_image_matches_bruteforce_minima():
@@ -145,7 +138,7 @@ def test_lift_image_matches_bruteforce_minima():
 
 def test_lift_image_positions_not_always_initial_segment():
     # in 3 variables at degree 2 the image skips position 3
-    assert last_variable_multiples(3, 3) == (1, 2, 4)
+    assert _positions(3, 2, lift_image(3, 2)) == (1, 2, 4)
 
 
 def test_iter_matches_enumerate():

@@ -49,6 +49,18 @@ def test_terms_are_a_read_only_copy():
     assert f.terms[(2, 0)] == 1
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1, 1): 1},  # degree 2, declared 3: would get a wrong C_1
+        {(2, 1): 1, (1, 1, 1): 1},  # one term of the wrong length
+    ],
+)
+def test_terms_must_match_the_declared_shape(terms):
+    with pytest.raises(ValueError, match="is not of degree 3 in 2 variables"):
+        GradedPolynomial(2, 3, terms)
+
+
 def test_hash_agrees_with_equality():
     f = graded_polynomial(2, {(2, 0): 1, (1, 1): Fraction(1, 2)})
     g = GradedPolynomial(2, 2, {(1, 1): Fraction(2, 4), (2, 0): 1})

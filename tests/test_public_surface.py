@@ -1,7 +1,9 @@
 """Every public function and class of the package, and every public method
 of a public class, has a caller that is not its own unit test: another
 definition in the package, the bench harness, or the acceptance suite.  A
-name that only its own tests call is dead weight."""
+name that only its own tests call is dead weight.  So is a default that no
+caller overrides: every defaulted parameter of a public function or method
+is passed by some call in the package, the bench harness or the tests."""
 
 import ast
 from collections import Counter
@@ -11,10 +13,6 @@ import apolar
 
 PACKAGE = Path(apolar.__file__).parent
 REPO = PACKAGE.parent.parent
-
-# the brute-force reference that the closed form of lift_image is tested
-# against; it is kept on purpose and only the tests call it
-EXEMPT = {"lex_min_preimage"}
 
 
 def _names(node) -> Counter:
@@ -68,9 +66,54 @@ def test_every_public_name_has_a_caller_beyond_its_tests():
         f"{path.stem}.{label}"
         for path, tree in modules.items()
         for label, node in _public_definitions(tree)
-        if node.name not in EXEMPT
-        and node.name not in outside
+        if node.name not in outside
         # its own module counts, its own definition does not
         and package[node.name] == _names(node)[node.name]
     )
     assert unused == []
+
+
+def _defaulted_parameters(node):
+    """(position or None when keyword-only, name) of each parameter of a
+    function or method that has a default; positions count from the first
+    argument a call writes, so a method's ``self`` is skipped."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = int(bool(positional) and positional[0].arg in {"self", "cls"})
+    first = len(positional) - len(args.defaults)
+    for position, arg in enumerate(positional[first:], first):
+        yield position - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passes(call: ast.Call, position, name) -> bool:
+    if any(k.arg in {name, None} for k in call.keywords):  # None: a ** splat
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_default_is_overridden_by_some_call():
+    paths = [
+        *sorted(PACKAGE.glob("*.py")),
+        *sorted((REPO / "bench").glob("*.py")),
+        *sorted((REPO / "tests").glob("*.py")),
+    ]
+    calls: dict[str, list[ast.Call]] = {}
+    for path in paths:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call):
+                callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+                calls.setdefault(callee, []).append(call)
+    never_passed = sorted(
+        f"{path.stem}.{label}({name})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for label, node in _public_definitions(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        for position, name in _defaulted_parameters(node)
+        if not any(_passes(call, position, name) for call in calls.get(node.name, ()))
+    )
+    assert never_passed == []

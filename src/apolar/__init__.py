@@ -17,7 +17,7 @@ from .complexes import (
     minimal_nonfaces,
     skeleton_count,
 )
-from .errors import GuardExceeded, InternalInvariantError
+from .errors import GuardExceeded
 from .generators import (
     GeneratorSet,
     contraction_image_classes,

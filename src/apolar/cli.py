@@ -6,8 +6,7 @@ byte-identical for identical inputs (and, for the sampling commands,
 identical seeds).  Rationals print as ``p/q`` strings; there is no decimal
 output anywhere.
 
-Exit codes: 0 success, 1 usage or input error, 2 resource guard violation,
-3 internal invariant breach (always a bug).
+Exit codes: 0 success, 1 usage or input error, 2 resource guard violation.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .errors import (
     DEFAULT_ENUMERATION_GUARD,
     DEFAULT_MATRIX_GUARD,
     GuardExceeded,
-    InternalInvariantError,
 )
 from .generators import extract_generators, verify_generators
 from .locus import (
@@ -424,9 +422,6 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 2
-    except InternalInvariantError as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return 3
     except (PolynomialSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

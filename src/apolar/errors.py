@@ -30,7 +30,3 @@ def check_guard(what: str, size: int, limit: int, override: str) -> None:
             f"{what} {size} exceeds the guard of {limit}; "
             f"raise {override} to override"
         )
-
-
-class InternalInvariantError(AssertionError):
-    """An internal consistency check failed; always a bug, never user error."""

@@ -20,7 +20,6 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import DEFAULT_MATRIX_GUARD, check_guard
@@ -134,13 +133,15 @@ def hilbert_h2(f: GradedPolynomial) -> int:
 
 def _draw_polynomial(rng, basis, num_vars: int) -> Optional[GradedPolynomial]:
     """One sampling attempt: each basis monomial kept with probability 1/2
-    (one coin per monomial, in lex order), then uniform nonzero coefficients
-    in [-9, 9] over the chosen support (again in lex order)."""
+    (one coin per monomial, in lex order), then uniform nonzero ``int``
+    coefficients in [-9, 9] over the chosen support (again in lex order).
+    The draw is homogeneous of the basis degree, nonzero and duplicate-free
+    by construction, so it is built without :func:`graded_polynomial`."""
     support = [m for m in basis if rng.coin()]
     if not support:
         return None
-    terms = {m: Fraction(rng.nonzero_int(9)) for m in support}
-    return graded_polynomial(num_vars, terms)
+    terms = {m: rng.nonzero_int(9) for m in support}
+    return GradedPolynomial(num_vars, sum(basis[0]), terms)
 
 
 def _standard_draw(seed: int, trial: int, basis, num_vars: int) -> Optional[GradedPolynomial]:
@@ -260,8 +261,8 @@ def coefficient_one_minimality_check(
     counterexamples = []
     for trial in range(trials):
         rng = substream(seed, trial)
-        terms = {m: Fraction(rng.nonzero_int(9)) for m in support}
-        h_random = hilbert_vector(graded_polynomial(num_vars, terms))
+        terms = {m: rng.nonzero_int(9) for m in support}
+        h_random = hilbert_vector(GradedPolynomial(num_vars, ones.degree, terms))
         verdict = compare_hilbert(h_ones, h_random)
         verdicts.append(verdict.value)
         if verdict is HilbertOrder.GREATER_EQ:

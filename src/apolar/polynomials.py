@@ -49,7 +49,8 @@ DIFFERENTIATION = PairingConvention.DIFFERENTIATION
 @dataclass(frozen=True, eq=True)
 class GradedPolynomial:
     """Homogeneous polynomial: ``terms`` maps exponent tuples to nonzero
-    rationals.  An empty map is the zero polynomial of the given graded slot.
+    rationals, each an ``int`` or a ``Fraction`` (they hash and compare
+    alike).  An empty map is the zero polynomial of the given graded slot.
     The value is immutable: ``terms`` is a read-only copy of the map given.
     Every term must have ``num_vars`` entries summing to ``degree``; unlike
     :func:`graded_polynomial`, nothing is normalized."""

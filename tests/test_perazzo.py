@@ -1,12 +1,17 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from apolar.cli import main
 from apolar.errors import GuardExceeded
-from apolar.monomials import monomial_count
+from apolar.monomials import enumerate_exponents, monomial_count
 from apolar.perazzo import (
+    RESAMPLE_CAP,
+    _dominated_draw,
+    _draw_polynomial,
+    _standard_draw,
     build_full_perazzo,
     coefficient_one_minimality_check,
     conjecture_sample_check,
@@ -17,11 +22,16 @@ from apolar.perazzo import (
     worker_count,
 )
 from apolar.polynomials import (
+    DIFFERENTIATION,
+    DUAL_BASIS,
     annihilator_basis,
+    catalecticant_matrix,
     coefficient_one_poly,
     graded_polynomial,
+    hilbert_vector,
     is_standard,
 )
+from apolar.rng import SplitMix64, mix, substream
 
 
 def test_build_full_perazzo_2_3():
@@ -171,6 +181,113 @@ def test_minimality_check_full_perazzo_support():
 def test_minimality_check_single_monomial_always_equal():
     report = coefficient_one_minimality_check([(2, 1)], 2, trials=10, seed=13)
     assert report["verdicts"] == ["EQUAL"] * 10
+
+
+DRAW_SEED = 4242
+DRAW_SHAPES = [(2, 3), (2, 4), (3, 3)]
+
+
+def _draw_space(n, d):
+    num_vars = n + monomial_count(n, d - 1)
+    return num_vars, enumerate_exponents(num_vars, d)
+
+
+class CountingStream(SplitMix64):
+    """SplitMix64 that counts the 64-bit words it emits."""
+
+    def __init__(self, state):
+        super().__init__(state)
+        self.words = 0
+
+    def next_u64(self):
+        self.words += 1
+        return super().next_u64()
+
+
+def _counting_substream(seed, trial):
+    # the substream state of the rng module's output contract
+    return CountingStream(mix(seed ^ mix(trial + 1)))
+
+
+@pytest.mark.parametrize("n,d", DRAW_SHAPES)
+def test_draws_equal_their_normalized_form(n, d):
+    # a draw skips graded_polynomial; it must be the same value as the
+    # normalized form with Fraction coefficients, down to every C_j
+    num_vars, basis = _draw_space(n, d)
+    for trial in range(50):
+        f = _standard_draw(DRAW_SEED, trial, basis, num_vars)
+        assert f is not None
+        assert all(type(c) is int and c for c in f.terms.values())
+        g = graded_polynomial(num_vars, {m: Fraction(c) for m, c in f.terms.items()})
+        assert f == g and hash(f) == hash(g)
+        for convention in (DUAL_BASIS, DIFFERENTIATION):
+            for j in range(d + 1):
+                a = catalecticant_matrix(f, j, convention)
+                b = catalecticant_matrix(g, j, convention)
+                assert (a.rows, a.cols, a.entries) == (b.rows, b.cols, b.entries)
+            assert hilbert_vector(f, convention) == hilbert_vector(g, convention)
+
+
+def test_dominated_draw_prints_int_and_fraction_terms_alike():
+    num_vars, basis = _draw_space(2, 4)
+    for trial in range(20):
+        f = _standard_draw(DRAW_SEED, trial, basis, num_vars)
+        h = hilbert_vector(f)
+        as_fractions = {m: Fraction(c) for m, c in f.terms.items()}
+        assert _dominated_draw(h, f.terms) == _dominated_draw(h, as_fractions)
+    signed = {(2, 0): -3, (1, 1): 9, (0, 2): -1}
+    record = _dominated_draw((1, 2, 1), signed)
+    assert record["coefficients"] == [["x2^2", "-1"], ["x1*x2", "9"], ["x1^2", "-3"]]
+    assert record == _dominated_draw((1, 2, 1), {m: Fraction(c) for m, c in signed.items()})
+
+
+@pytest.mark.parametrize("n,d", [(1, 2)] + DRAW_SHAPES)
+def test_draw_takes_one_word_per_basis_and_support_monomial(n, d):
+    # (1, 2) has a 3-monomial basis, so about one attempt in 8 is empty
+    num_vars, basis = _draw_space(n, d)
+    rng = _counting_substream(DRAW_SEED, 0)
+    assert rng.next_u64() == substream(DRAW_SEED, 0).next_u64()
+    empty = 0
+    for _ in range(200):
+        before = rng.words
+        f = _draw_polynomial(rng, basis, num_vars)
+        support = len(f.terms) if f is not None else 0
+        empty += f is None
+        assert rng.words - before == len(basis) + support
+    if len(basis) < 4:
+        assert empty
+
+
+@pytest.mark.parametrize("n,d", DRAW_SHAPES)
+def test_standard_draw_leaves_the_stream_where_a_replay_does(n, d, monkeypatch):
+    # replay the sampling contract on a fresh substream: one coin per basis
+    # monomial, then one nonzero_int per support monomial, until standard
+    num_vars, basis = _draw_space(n, d)
+    streams = []
+
+    def counting(seed, trial):
+        streams.append(_counting_substream(seed, trial))
+        return streams[-1]
+
+    monkeypatch.setattr("apolar.perazzo.substream", counting)
+    for trial in range(20):
+        f = _standard_draw(DRAW_SEED, trial, basis, num_vars)
+        assert f is not None
+        used = streams[-1]
+        replay = _counting_substream(DRAW_SEED, trial)
+        for _ in range(RESAMPLE_CAP):
+            support = [m for m in basis if replay.coin()]
+            if not support:
+                continue
+            terms = {m: replay.nonzero_int(9) for m in support}
+            if is_standard(graded_polynomial(num_vars, terms)):
+                break
+        assert dict(f.terms) == terms
+        assert used.words == replay.words
+        reference = substream(DRAW_SEED, trial)
+        for _ in range(used.words):
+            reference.next_u64()
+        assert used.next_u64() == reference.next_u64()
 
 
 @pytest.mark.parametrize("n,d,draws", [(2, 3, 20), (2, 4, 20)])

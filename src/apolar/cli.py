@@ -21,7 +21,7 @@ import time
 from .complexes import (
     cell_count_vector,
     complex_of,
-    divides,
+    facets,
     minimal_nonfaces,
     skeleton_count,
 )
@@ -140,18 +140,13 @@ def _cmd_generators(args) -> None:
 
 def _complex_poset(zeta, num_u_vars: int):
     cells = sorted(zeta.cells, key=lambda m: (sum(m), m))
+    labels = [format_monomial(m, num_u_vars) for m in cells]
     by_dimension: dict[str, list[str]] = {}
-    for m in cells:
-        by_dimension.setdefault(str(sum(m) - 1), []).append(
-            format_monomial(m, num_u_vars)
-        )
-    edges = [
-        [format_monomial(a, num_u_vars), format_monomial(b, num_u_vars)]
-        for a in cells
-        for b in cells
-        if sum(b) == sum(a) + 1 and divides(a, b)
-    ]
-    return by_dimension, edges
+    for m, label in zip(cells, labels):
+        by_dimension.setdefault(str(sum(m) - 1), []).append(label)
+    position = {m: i for i, m in enumerate(cells)}
+    edges = sorted((position[a], i) for i, b in enumerate(cells) for a in facets(b))
+    return by_dimension, [[labels[a], labels[b]] for a, b in edges]
 
 
 def _cmd_cw(args) -> None:

@@ -4,16 +4,17 @@ A degree-k monomial is a (k-1)-cell; the complex of a polynomial is the
 divisor closure of its support, and the subcomplex order is monomial
 divisibility.  The complex is stored purely as its face poset: no geometric
 realization is kept, because every downstream query (skeleton counts, cell
-counts, minimal non-faces) reads only the poset.
+counts, minimal non-faces) reads only the poset.  A cell's facets (its
+divisors one degree lower) are the only neighbour rule, so no ambient
+monomial basis is walked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
-from .monomials import ExponentVector, enumerate_exponents
+from .monomials import ExponentVector
 from .polynomials import GradedPolynomial
 
 
@@ -25,15 +26,12 @@ class CellComplex:
     cells: frozenset
 
 
-def divisors(exps: ExponentVector) -> list[ExponentVector]:
-    """All monomial divisors of degree >= 1 (the monomial itself included)."""
-    out = [
-        d
-        for d in product(*(range(e + 1) for e in exps))
-        if any(d)
-    ]
-    out.sort()
-    return out
+def facets(m: ExponentVector) -> list[ExponentVector]:
+    """The divisors of ``m`` one degree lower, m / x_k for each variable x_k
+    dividing ``m``; none in degree 1, whose only such divisor is 1."""
+    if sum(m) <= 1:
+        return []
+    return [m[:k] + (e - 1,) + m[k + 1 :] for k, e in enumerate(m) if e]
 
 
 def divides(g: ExponentVector, h: ExponentVector) -> bool:
@@ -65,8 +63,10 @@ def divisor_closure(support: Iterable[ExponentVector], num_vars: int) -> CellCom
     if degrees.pop() < 1:
         raise ValueError("support must have degree at least 1")
     cells: set[ExponentVector] = set()
-    for m in support:
-        cells.update(divisors(m))
+    layer = set(support)
+    while layer:  # one degree at a time, down to the variables
+        cells |= layer
+        layer = {a for m in layer for a in facets(m)}
     return CellComplex(num_vars, frozenset(cells))
 
 
@@ -93,14 +93,16 @@ def cell_count_vector(c: CellComplex, d: int) -> tuple[int, ...]:
 
 def minimal_nonfaces(c: CellComplex, j: int) -> tuple[ExponentVector, ...]:
     """Degree-``j`` monomials outside the complex whose proper divisors of
-    degree >= 1 all lie inside it.  For ``j = 1`` these are the unused
-    variables."""
+    degree >= 1 all lie inside it, in lex order.  For ``j = 1`` these are the
+    unused variables.
+
+    Each one is a degree-(j-1) cell (the monomial 1 when ``j = 1``) times a
+    variable, and since the complex is divisor-closed it suffices that its
+    facets are cells."""
     if j < 1:
         raise ValueError("degree must be at least 1")
-    out = []
-    for m in enumerate_exponents(c.num_vars, j):
-        if m in c.cells:
-            continue
-        if all(d in c.cells for d in divisors(m) if d != m):
-            out.append(m)
-    return tuple(out)
+    cells, n = c.cells, c.num_vars
+    below = [m for m in cells if sum(m) == j - 1] if j > 1 else [(0,) * n]
+    candidates = {m[:k] + (e + 1,) + m[k + 1 :] for m in below for k, e in enumerate(m)}
+    out = [m for m in candidates - cells if cells.issuperset(facets(m))]
+    return tuple(sorted(out))

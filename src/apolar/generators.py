@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, mul
+from types import MappingProxyType
 from typing import Mapping
 
 from .complexes import complex_of, minimal_nonfaces
@@ -34,19 +35,24 @@ from .polynomials import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorSet:
     """Degree-structured generators of an annihilator ideal.
 
     ``powers`` holds (variable index, exponent) pairs, 1-based; nonface
-    monomials and difference pairs are grouped by degree.
+    monomials and difference pairs are grouped by degree, in read-only
+    copies of the mappings passed in.
     """
 
     num_vars: int
     socle_degree: int
     powers: frozenset
-    nonface_monomials: dict
-    differences: dict
+    nonface_monomials: Mapping
+    differences: Mapping
+
+    def __post_init__(self):
+        for name in ("nonface_monomials", "differences"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def polynomials(self) -> list[tuple[int, GradedPolynomial]]:
         """All generators as (degree, operator polynomial), deterministic order.

@@ -4,8 +4,8 @@ Each digest was recorded from the ``Fraction`` elimination that preceded the
 integer elimination core, so these tests check that the core changed no
 output byte: ranks (``hilbert``, ``locus maps``, ``conjecture``), canonical
 kernels (``ann``) and the incremental span (``generators``).  The later
-``locus`` digests were each recorded on the code before the change they
-guard, as the comments next to them say.
+``locus``, ``cw`` and ``perazzo build`` digests were each recorded on the
+code before the change they guard, as the comments next to them say.
 """
 
 import hashlib
@@ -29,6 +29,15 @@ P38 = (
     "x1^3*x3 + x1^2*x2^2 + x1*x2^2*x3 + x1*x2*x3^2 + x1*x3^3 + x2^4"
     " + x2^3*x3 + x2^2*x3^2 + x2*x3^3 + x3^4"
 )
+# cell complexes: one with every variable used, one with a u-block, one with
+# an unused variable (a degree-1 non-face)
+CW_FORMS = {
+    "cw-3-4": ["--poly", "x1^3*x2 + x1*x2*x3^2 + x2^4 + x3^4", "--nvars", "3"],
+    "cw-uvars": [
+        "--poly", "x1^2*u1 + x2*u1*u2 + x3*u2^2", "--nvars", "5", "--uvars", "2"
+    ],
+    "cw-unused-var": ["--poly", "x1*x2*x3 + x2^2*x4 + x4^3", "--nvars", "5"],
+}
 CONJECTURE = ["conjecture", "--n", "2", "--d", "4", "--trials", "20", "--seed", "52004"]
 
 GOLDEN = {
@@ -133,6 +142,47 @@ GOLDEN = {
     "perazzo-census-2-4": (
         ["perazzo", "census", "--n", "2", "--d", "4"],
         "1610308371a4d2c7aa356ceeae9ea5d2fa5822bffa188bd2603de41944152c7f",
+    ),
+    # recorded before the cell complex was built from the facet relation
+    "cw-3-4": (
+        ["cw"] + CW_FORMS["cw-3-4"],
+        "e1ef9d9b26e8f3e7d095e3348d630ff6a12c6661410c54b87d78446da00c0367",
+    ),
+    "cw-3-4-json": (
+        ["cw"] + CW_FORMS["cw-3-4"] + ["--export", "json"],
+        "66bd1240bfc59872a1f51cf728ab16e6ff1953d0d0761227bd969d31f597855d",
+    ),
+    "cw-3-4-dot": (
+        ["cw"] + CW_FORMS["cw-3-4"] + ["--export", "dot"],
+        "5e196529517bc2fc5da6bbf5412e0166f5280fdb67824969a7dab72d05c8f164",
+    ),
+    "cw-uvars": (
+        ["cw"] + CW_FORMS["cw-uvars"],
+        "d33c60a63d288bf7905db5dbbeee08c763c0bf623d3576b1f34388c9da3548e2",
+    ),
+    "cw-uvars-json": (
+        ["cw"] + CW_FORMS["cw-uvars"] + ["--export", "json"],
+        "6e209dfffa07f73825a8cda8396b3f0764319cb8c2d34892ddf67d1b665bdabf",
+    ),
+    "cw-uvars-dot": (
+        ["cw"] + CW_FORMS["cw-uvars"] + ["--export", "dot"],
+        "913a8e1a8a7fba8a9e153851e2f586e8ff9efb5db2ba4a705ce4df91618a9ece",
+    ),
+    "cw-unused-var": (
+        ["cw"] + CW_FORMS["cw-unused-var"],
+        "70832f87e9d228049a6ec3ec713682cdae6a68a96c45d00d2c520e8495fb49e8",
+    ),
+    "cw-unused-var-json": (
+        ["cw"] + CW_FORMS["cw-unused-var"] + ["--export", "json"],
+        "2480cf444d1ad2422b9cc62870cccd6066ba3d224c72cff649bfd897e0843fd3",
+    ),
+    "cw-unused-var-dot": (
+        ["cw"] + CW_FORMS["cw-unused-var"] + ["--export", "dot"],
+        "3312caa18f8fa105e4ca5e72e85aac010d212eb2530f37ebcddf327d9980d8a4",
+    ),
+    "perazzo-build-2-3": (
+        ["perazzo", "build", "--n", "2", "--d", "3"],
+        "1789eb5259d72c50921f498f75c8d0db756e4f9cdd7471c1de1b8d6e094a3cdb",
     ),
     "conjecture-jobs1": (
         CONJECTURE + ["--jobs", "1"],

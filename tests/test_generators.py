@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from apolar.generators import (
     extract_generators,
     verify_generators,
 )
+from apolar.locus import enumerate_admissible_supports, support_conditions
 from apolar.monomials import enumerate_exponents
 from apolar.parsing import parse_polynomial
 from apolar.polynomials import (
@@ -19,6 +21,7 @@ from apolar.polynomials import (
     contract,
     graded_polynomial,
     hilbert_vector,
+    is_standard,
     monomial_poly,
     HilbertOrder,
 )
@@ -95,6 +98,21 @@ def test_constant_generator_breaks_verification():
     f = graded_polynomial(1, {(0,): 1})
     assert verify_generators(f, GeneratorSet(1, 0, frozenset({(1, 1)}), {}, {}))
     assert not verify_generators(f, GeneratorSet(1, 0, frozenset({(1, 0)}), {}, {}))
+
+
+def test_generator_set_is_immutable():
+    gens = extract_generators(_paper_quadric())
+    with pytest.raises(FrozenInstanceError):
+        gens.powers = frozenset()
+    with pytest.raises(TypeError):
+        gens.nonface_monomials[3] = frozenset()
+    with pytest.raises(TypeError):
+        gens.differences[2] = ()
+    # the mappings are copies: changing the caller's dict changes nothing
+    nonfaces = {2: frozenset({(0, 2)})}
+    built = GeneratorSet(2, 2, frozenset(), nonfaces, {})
+    nonfaces[1] = frozenset({(1, 0)})
+    assert built.nonface_monomials == {2: frozenset({(0, 2)})}
 
 
 def test_generator_degree_is_read_from_the_polynomial():
@@ -376,3 +394,38 @@ def test_unverified_3_3_draws_of_criterion_7():
         if not verify_generators(f, extract_generators(f)):
             failing.add(k)
     assert failing == UNVERIFIED_3_3_DRAWS
+
+
+# An exhaustive finding, not a theorem: every admissible coefficient-one
+# support is standard and its structured generators verify at these shapes,
+# 455 supports in all.
+@pytest.mark.parametrize(
+    "n,d,admissible",
+    [(2, 3, 5), (2, 4, 10), (2, 5, 18), (2, 6, 31), (3, 3, 41), (3, 4, 350)],
+)
+def test_every_admissible_support_is_standard_and_verifies(n, d, admissible):
+    components = enumerate_admissible_supports(n, d)
+    assert len(components) == admissible
+    for component in components:
+        f = coefficient_one_poly(n, component.support)
+        assert is_standard(f)
+        assert verify_generators(f, extract_generators(f))
+
+
+# Every standard coefficient-one support in two variables: verification fails
+# on exactly this many, and each failing support is non-admissible.
+@pytest.mark.parametrize(
+    "d,standard,unverified", [(5, 60, 8), (6, 124, 14), (7, 252, 67)]
+)
+def test_unverified_standard_supports_in_two_variables(d, standard, unverified):
+    basis = enumerate_exponents(2, d)
+    supports = [
+        support
+        for size in range(1, len(basis) + 1)
+        for support in itertools.combinations(basis, size)
+    ]
+    forms = [coefficient_one_poly(2, support) for support in supports]
+    forms = [f for f in forms if is_standard(f)]
+    failing = [f for f in forms if not verify_generators(f, extract_generators(f))]
+    assert (len(forms), len(failing)) == (standard, unverified)
+    assert not any(support_conditions(f.support(), 2).all_hold for f in failing)

@@ -9,6 +9,7 @@ from apolar.errors import GuardExceeded
 from apolar.monomials import enumerate_exponents, monomial_count
 from apolar.perazzo import (
     RESAMPLE_CAP,
+    _conjecture_trial,
     _dominated_draw,
     _draw_polynomial,
     _standard_draw,
@@ -288,6 +289,49 @@ def test_standard_draw_leaves_the_stream_where_a_replay_does(n, d, monkeypatch):
         for _ in range(used.words):
             reference.next_u64()
         assert used.next_u64() == reference.next_u64()
+
+
+# a reference vector above every (2,4) draw's, so each draw is a violator
+ABOVE_EVERY_DRAW = (1, 99, 99, 99, 1)
+
+
+def test_conjecture_trial_reports_a_dominated_draw():
+    num_vars, basis = _draw_space(2, 4)
+    for t in range(5):
+        result = _conjecture_trial((DRAW_SEED, t, num_vars, 4, ABOVE_EVERY_DRAW))
+        f = _standard_draw(DRAW_SEED, t, basis, num_vars)
+        assert result == {
+            "trial": t,
+            "verdict": "LESS_EQ",
+            "violator": _dominated_draw(hilbert_vector(f), f.terms),
+        }
+
+
+def test_conjecture_report_lists_every_violator(monkeypatch):
+    monkeypatch.setattr(
+        "apolar.perazzo.full_perazzo_hilbert", lambda n, d, max_dim: ABOVE_EVERY_DRAW
+    )
+    report = conjecture_sample_check(2, 4, 5, seed=DRAW_SEED)
+    num_vars, _ = _draw_space(2, 4)
+    assert len(report["violators"]) == 5
+    for t, violator in enumerate(report["violators"]):
+        result = _conjecture_trial((DRAW_SEED, t, num_vars, 4, ABOVE_EVERY_DRAW))
+        assert violator == {"trial": t, **result["violator"]}
+    assert report["tallies"]["LESS_EQ"] == 5
+    assert report["skipped_trials"] == 0
+
+
+def test_conjecture_report_counts_skipped_trials(monkeypatch):
+    monkeypatch.setattr("apolar.perazzo.is_standard", lambda f: False)
+    num_vars, _ = _draw_space(2, 3)
+    assert _conjecture_trial((DRAW_SEED, 0, num_vars, 3, (1, 5, 5, 1))) == {
+        "trial": 0,
+        "verdict": "SKIPPED",
+    }
+    report = conjecture_sample_check(2, 3, 3, seed=DRAW_SEED)
+    assert report["skipped_trials"] == report["trials"] == 3
+    assert set(report["tallies"].values()) == {0}
+    assert report["violators"] == []
 
 
 @pytest.mark.parametrize("n,d,draws", [(2, 3, 20), (2, 4, 20)])

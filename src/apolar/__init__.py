@@ -11,7 +11,6 @@ from .complexes import (
     CellComplex,
     cell_count_vector,
     complex_of,
-    divides,
     divisor_closure,
     is_subcomplex,
     minimal_nonfaces,

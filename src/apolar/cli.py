@@ -3,20 +3,20 @@
 Every subcommand prints a single JSON document with a top-level
 ``schema_version`` field, serialized with sorted keys so output is
 byte-identical for identical inputs (and, for the sampling commands,
-identical seeds).  Rationals print as ``p/q`` strings; there is no decimal
-output anywhere.
+identical seeds); ``cw --export dot`` and ``locus enumerate --format csv``
+print DOT and CSV instead.  Rationals print as ``p/q`` strings; there is no
+decimal output anywhere.
 
-Exit codes: 0 success, 1 usage or input error, 2 resource guard violation.
+Exit codes, all decided by :func:`main`: 0 success (also after ``--help``),
+1 usage or input error, 2 resource guard violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-import time
 
 from .complexes import (
     cell_count_vector,
@@ -198,8 +198,7 @@ def _cmd_locus_enumerate(args) -> None:
     )
     rows = list(_component_rows(components))
     if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(
             ["index", "support", "derived_set", "dim_support", "dim_derived"]
         )
@@ -213,7 +212,6 @@ def _cmd_locus_enumerate(args) -> None:
                     row["dim_derived"],
                 ]
             )
-        sys.stdout.write(buffer.getvalue())
         return
     _emit({"nvars": args.nvars, "degree": args.degree, "components": rows})
 
@@ -279,22 +277,9 @@ def _cmd_perazzo_census(args) -> None:
 
 
 def _cmd_conjecture(args) -> None:
-    start = time.monotonic()
-    report = conjecture_sample_check(
-        args.n, args.d, args.trials, args.seed, jobs=args.jobs
+    _emit(
+        conjecture_sample_check(args.n, args.d, args.trials, args.seed, jobs=args.jobs)
     )
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    if args.timing:
-        # timing goes to stderr so the JSON report stays byte-stable
-        print(f"runtime_ms: {elapsed_ms}", file=sys.stderr)
-    _emit(report)
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _add_poly_options(parser) -> None:
@@ -318,7 +303,7 @@ def _add_convention(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="apolar",
         description="Exact apolarity computations for graded Artinian Gorenstein algebras.",
     )
@@ -400,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true", help="print runtime to stderr")
     p.set_defaults(func=_cmd_conjecture)
 
     return parser
@@ -411,7 +395,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on a usage error, which is an input error here
+        return 1 if exc.code else 0
     try:
         args.func(args)
     except GuardExceeded as exc:

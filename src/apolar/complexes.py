@@ -34,18 +34,12 @@ def facets(m: ExponentVector) -> list[ExponentVector]:
     return [m[:k] + (e - 1,) + m[k + 1 :] for k, e in enumerate(m) if e]
 
 
-def divides(g: ExponentVector, h: ExponentVector) -> bool:
+def is_subcomplex(g: ExponentVector, h: ExponentVector) -> bool:
+    """Whether the complex of ``g`` sits inside the complex of ``h``, that
+    is, whether ``g`` divides ``h`` coordinatewise."""
     if len(g) != len(h):
         raise ValueError("exponent vectors of different lengths")
     return all(a <= b for a, b in zip(g, h))
-
-
-def is_subcomplex(g: ExponentVector, h: ExponentVector) -> bool:
-    """Whether the complex of ``g`` sits inside the complex of ``h``.
-
-    Equivalent to coordinatewise divisibility of the monomials.
-    """
-    return divides(g, h)
 
 
 def divisor_closure(support: Iterable[ExponentVector], num_vars: int) -> CellComplex:

@@ -30,7 +30,6 @@ from .polynomials import (
     DUAL_BASIS,
     GradedPolynomial,
     HilbertOrder,
-    annihilator_dimension,
     catalecticant_matrix,
     compare_hilbert,
     graded_polynomial,
@@ -125,10 +124,10 @@ def degree2_census(f: GradedPolynomial) -> Degree2Census:
 
 
 def hilbert_h2(f: GradedPolynomial) -> int:
-    """Second Hilbert entry: dim of degree-2 operators minus the annihilator."""
+    """Second Hilbert entry: the rank of the dual-basis catalecticant C_2."""
     if f.degree < 2:
         raise ValueError("needs socle degree at least 2")
-    return monomial_count(f.num_vars, 2) - annihilator_dimension(f, 2, DUAL_BASIS)
+    return rank(catalecticant_matrix(f, 2))
 
 
 def _draw_polynomial(rng, basis, num_vars: int) -> Optional[GradedPolynomial]:

@@ -245,15 +245,13 @@ def hilbert_vector(
 ) -> tuple[int, ...]:
     """Dimensions of the graded quotient algebra, degree by degree.
 
-    Each entry is computed from its own catalecticant; the symmetry of the
+    Entry j is the rank of its own catalecticant C_j; the symmetry of the
     result is a theorem, not an assumption, and the test suite checks it.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    n = f.num_vars
     return tuple(
-        monomial_count(n, j) - annihilator_dimension(f, j, convention)
-        for j in range(f.degree + 1)
+        rank(catalecticant_matrix(f, j, convention)) for j in range(f.degree + 1)
     )
 
 

@@ -1,5 +1,4 @@
 import json
-import re
 from fractions import Fraction
 
 import pytest
@@ -381,17 +380,6 @@ def test_cli_rejects_jobs_below_one(jobs, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"jobs must be at least 1, got {jobs}" in captured.err
-
-
-def test_conjecture_timing_goes_to_stderr_only(capsys):
-    argv = ["conjecture", "--n", "2", "--d", "3", "--trials", "4", "--seed", "1"]
-    assert main(argv) == 0
-    plain = capsys.readouterr()
-    assert main(argv + ["--timing"]) == 0
-    timed = capsys.readouterr()
-    assert timed.out == plain.out
-    assert plain.err == ""
-    assert re.fullmatch(r"runtime_ms: \d+\n", timed.err)
 
 
 def _refuse_build(*args):

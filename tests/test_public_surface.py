@@ -3,7 +3,9 @@ of a public class, has a caller that is not its own unit test: another
 definition in the package, the bench harness, or the acceptance suite.  A
 name that only its own tests call is dead weight.  So is a default that no
 caller overrides: every defaulted parameter of a public function or method
-is passed by some call in the package, the bench harness or the tests."""
+is passed by some call in the package, the bench harness or the tests.  And
+so is an alias: no public function or method only forwards its own
+parameters to another definition of the package."""
 
 import ast
 from collections import Counter
@@ -117,3 +119,52 @@ def test_every_default_is_overridden_by_some_call():
         if not any(_passes(call, position, name) for call in calls.get(node.name, ()))
     )
     assert never_passed == []
+
+
+def _parameters(node) -> list:
+    args = node.args
+    named = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    return named + [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+
+
+def _forwarded(call: ast.Call):
+    """The parameter names a call passes, in order, or None when some
+    argument is not a bare name passed as itself."""
+    values = [a.value if isinstance(a, ast.Starred) else a for a in call.args]
+    if any(k.arg not in {None, getattr(k.value, "id", None)} for k in call.keywords):
+        return None
+    values += [k.value for k in call.keywords]
+    if not all(isinstance(v, ast.Name) for v in values):
+        return None
+    return [v.id for v in values]
+
+
+def _alias_target(node):
+    """The callee name when the body, past its docstring, is one
+    ``return g(<the parameters, in order>)``; otherwise None."""
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return None
+    call = body[0].value
+    if not isinstance(call, ast.Call) or _forwarded(call) != _parameters(node):
+        return None
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def test_no_public_function_only_forwards_to_the_package():
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {
+        stmt.name
+        for tree in trees.values()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    }
+    aliases = sorted(
+        f"{path.stem}.{label}"
+        for path, tree in trees.items()
+        for label, node in _public_definitions(tree)
+        if isinstance(node, ast.FunctionDef) and _alias_target(node) in defined
+    )
+    assert aliases == []

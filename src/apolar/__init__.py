@@ -54,7 +54,6 @@ from .perazzo import (
     conjecture_sample_check,
     degree2_census,
     full_perazzo_hilbert,
-    hilbert_h2,
     is_bihomogeneous,
 )
 from .polynomials import (

@@ -43,7 +43,6 @@ from .parsing import (
     parse_polynomial,
 )
 from .perazzo import (
-    Degree2Census,
     build_full_perazzo,
     conjecture_sample_check,
     degree2_census,
@@ -269,11 +268,7 @@ def _cmd_perazzo_hilbert(args) -> None:
 
 
 def _cmd_perazzo_census(args) -> None:
-    f = build_full_perazzo(args.n, args.d)
-    census: Degree2Census = degree2_census(f)
-    # h_2 is the operator count minus the annihilator, which is total_dim
-    h2 = monomial_count(f.num_vars, 2) - census.total_dim
-    _emit({**census.as_dict(), "h2": h2})
+    _emit(degree2_census(build_full_perazzo(args.n, args.d)).as_dict())
 
 
 def _cmd_conjecture(args) -> None:

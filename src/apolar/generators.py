@@ -27,7 +27,6 @@ from .errors import DEFAULT_SUBSET_GUARD, check_guard
 from .linalg import Echelon, integer_row, rank
 from .monomials import ExponentVector, basis_index, enumerate_exponents, monomial_count
 from .polynomials import (
-    DUAL_BASIS,
     GradedPolynomial,
     catalecticant_matrix,
     graded_polynomial,
@@ -124,7 +123,7 @@ def contraction_image_classes(
     """
     if not 1 <= j <= f.degree:
         raise ValueError(f"degree {j} outside 1..{f.degree}")
-    c_j = catalecticant_matrix(f, j, DUAL_BASIS)
+    c_j = catalecticant_matrix(f, j)
     cells = []
     images = []
     for c, m in enumerate(enumerate_exponents(f.num_vars, j)):
@@ -222,7 +221,7 @@ def verify_generators(f: GradedPolynomial, gens: GeneratorSet) -> bool:
         return False  # a constant kills no nonzero f
     for j in range(1, d + 1):
         pivots = _ideal_span(generators, n, j)[1].pivots
-        c_j = catalecticant_matrix(f, j, DUAL_BASIS)
+        c_j = catalecticant_matrix(f, j)
         rows = list(map(c_j.row, range(c_j.rows)))
         images = (sum(map(mul, row, v)) for _, v in pivots for row in rows)
         if any(images) or len(pivots) != c_j.cols - rank(c_j):

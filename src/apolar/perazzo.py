@@ -27,7 +27,6 @@ from .linalg import rank
 from .monomials import enumerate_exponents, monomial_count
 from .parsing import format_monomial
 from .polynomials import (
-    DUAL_BASIS,
     GradedPolynomial,
     HilbertOrder,
     catalecticant_matrix,
@@ -89,13 +88,15 @@ class Degree2Census:
 
     Greedy and deterministic: first every annihilating monomial, then
     independent sign-pattern binomials, the remainder is "other"; the three
-    counts always add up to the full degree-2 annihilator dimension.
+    counts always add up to the full degree-2 annihilator dimension, which
+    is the operator count minus ``h2``, the rank of C_2.
     """
 
     monomial_count: int
     binomial_count: int
     other_count: int
     total_dim: int
+    h2: int
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -113,21 +114,14 @@ def degree2_census(f: GradedPolynomial) -> Degree2Census:
     """
     if f.degree < 2:
         raise ValueError("degree-2 census needs socle degree at least 2")
-    c_2 = catalecticant_matrix(f, 2, DUAL_BASIS)
+    c_2 = catalecticant_matrix(f, 2)
     columns = map(c_2.column, range(c_2.cols))
     images = Counter(column for column in columns if any(column))
     killed = c_2.cols - sum(images.values())
     binomials = sum(size - 1 for size in images.values())
-    total = c_2.cols - rank(c_2)
-    other = total - killed - binomials
-    return Degree2Census(killed, binomials, other, total)
-
-
-def hilbert_h2(f: GradedPolynomial) -> int:
-    """Second Hilbert entry: the rank of the dual-basis catalecticant C_2."""
-    if f.degree < 2:
-        raise ValueError("needs socle degree at least 2")
-    return rank(catalecticant_matrix(f, 2))
+    h2 = rank(c_2)
+    total = c_2.cols - h2
+    return Degree2Census(killed, binomials, total - killed - binomials, total, h2)
 
 
 def _draw_polynomial(rng, basis, num_vars: int) -> Optional[GradedPolynomial]:

@@ -4,19 +4,21 @@ A homogeneous polynomial is a finite map from exponent tuples to nonzero
 rationals.  Differential operators live in the dual variables and are stored
 with the same type; which ring a value belongs to is determined by use.
 
-Two monomial pairing rules are supported:
+The pairing of this module is ``DUAL_BASIS`` (contraction): a degree-a
+operator monomial sends ``x^b`` to ``x^(b-a)`` when ``a <= b`` coordinatewise
+and to zero otherwise, so the equal-degree pairing of monomial bases is the
+Kronecker delta.  :func:`contract`, :func:`catalecticant_matrix` and
+:func:`annihilator_dimension` use it alone.
 
-* ``DUAL_BASIS`` (the default): a degree-a operator monomial sends ``x^b`` to
-  ``x^(b-a)`` when ``a <= b`` coordinatewise and to zero otherwise, so the
-  equal-degree pairing of monomial bases is the Kronecker delta.
-* ``DIFFERENTIATION``: honest partial derivatives, which multiply by the
-  falling factorials ``prod b_i! / (b_i - a_i)!``.
-
-Annihilator dimensions agree between the two conventions for generic
-coefficients, but not for every polynomial: coefficient patterns aligned with
-the basis (for example all-ones coefficients) can gain dual-basis relations
-that differentiation does not see.  The default is pinned to ``DUAL_BASIS``,
-under which the coefficient-one combinatorics of this package is exact.
+``DIFFERENTIATION`` (honest partial derivatives) is offered by
+:func:`hilbert_vector` and :func:`annihilator_basis`, read as the dual pairing
+on ``sum b! f_b x^b``: over the rationals the two actions are the same module
+(the divided-power isomorphism of apolarity).  The two conventions agree for
+generic coefficients, but not for every polynomial: coefficient patterns
+aligned with the basis (for example all-ones coefficients) can gain
+dual-basis relations that differentiation does not see.  The default is
+pinned to ``DUAL_BASIS``, under which the coefficient-one combinatorics of
+this package is exact.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import perm, prod
+from math import factorial, prod
 from operator import sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .linalg import RationalMatrix, kernel_basis, rank
 from .monomials import ExponentVector, basis_index, enumerate_exponents, monomial_count
@@ -121,22 +123,9 @@ def coefficient_one_poly(num_vars: int, support: Iterable[ExponentVector]) -> Gr
     return graded_polynomial(num_vars, {tuple(e): 1 for e in support})
 
 
-def _pair_coefficient(op_exps, target_exps, convention: PairingConvention) -> Optional[int]:
-    """Coefficient of x^(target - op) in op(x^target), or None when it dies."""
-    if any(o > t for o, t in zip(op_exps, target_exps)):
-        return None
-    if convention is DUAL_BASIS:
-        return 1
-    return prod(map(perm, target_exps, op_exps))
-
-
-def contract(
-    op: GradedPolynomial,
-    f: GradedPolynomial,
-    convention: PairingConvention = DUAL_BASIS,
-) -> GradedPolynomial:
+def contract(op: GradedPolynomial, f: GradedPolynomial) -> GradedPolynomial:
     """Apply the operator to the polynomial; bilinear extension of the
-    monomial rule of the convention.  The result may be zero."""
+    dual-basis monomial rule.  The result may be zero."""
     if op.num_vars != f.num_vars:
         raise ValueError("operator and polynomial have different variable counts")
     if op.degree > f.degree:
@@ -144,11 +133,10 @@ def contract(
     out: dict[ExponentVector, Fraction] = {}
     for a, ca in op.terms.items():
         for b, cb in f.terms.items():
-            scale = _pair_coefficient(a, b, convention)
-            if scale is None:
+            if any(o > t for o, t in zip(a, b)):
                 continue
             r = tuple(bi - ai for ai, bi in zip(a, b))
-            value = out.get(r, _ZERO) + ca * cb * scale
+            value = out.get(r, _ZERO) + ca * cb
             if value:
                 out[r] = value
             else:
@@ -156,12 +144,8 @@ def contract(
     return GradedPolynomial(f.num_vars, f.degree - op.degree, out)
 
 
-def catalecticant_matrix(
-    f: GradedPolynomial,
-    j: int,
-    convention: PairingConvention = DUAL_BASIS,
-) -> RationalMatrix:
-    """Matrix of "apply to f" from degree-j operators to degree-(d-j) polynomials.
+def catalecticant_matrix(f: GradedPolynomial, j: int) -> RationalMatrix:
+    """Matrix of "contract f" from degree-j operators to degree-(d-j) polynomials.
 
     Rows are indexed by the degree-(d-j) basis, columns by the degree-j basis,
     both in the pinned ascending lex order.  Entries are ``int`` where
@@ -173,18 +157,14 @@ def catalecticant_matrix(
     """
     if not 0 <= j <= f.degree:
         raise ValueError(f"degree {j} outside 0..{f.degree}")
-    col_basis = enumerate_exponents(f.num_vars, j)
-    rows, cols = monomial_count(f.num_vars, f.degree - j), len(col_basis)
+    rows = monomial_count(f.num_vars, f.degree - j)
+    cols = monomial_count(f.num_vars, j)
     low = min(j, f.degree - j)
     flat: list = [0] * (rows * cols)
     for b, coeff in f.terms.items():
         coeff = coeff.numerator if coeff.denominator == 1 else coeff
         for pos in _hankel_positions(b, low)[j > low]:
-            if convention is DUAL_BASIS:
-                flat[pos] = coeff
-            else:  # x^c divides x^b, so the scale is never None
-                c = col_basis[pos % cols]
-                flat[pos] = coeff * _pair_coefficient(c, b, convention)
+            flat[pos] = coeff
     return RationalMatrix(rows, cols, tuple(flat))
 
 
@@ -202,11 +182,22 @@ def _hankel_positions(b: ExponentVector, low: int) -> tuple[tuple[int, ...], ...
     return tuple(into_low), tuple(into_high)
 
 
-def annihilator_dimension(
-    f: GradedPolynomial,
-    j: int,
-    convention: PairingConvention = DUAL_BASIS,
-) -> int:
+def _dual_form(f: GradedPolynomial, convention: PairingConvention) -> GradedPolynomial:
+    """The form whose dual-basis catalecticants stand for ``f``'s under
+    ``convention``: ``f`` itself, or ``sum b! f_b x^b`` for differentiation.
+
+    Differentiation puts f_b b!/r! at entry (r, c) of C_j, with b = r + c:
+    that is diag(1/r!) times the dual C_j of ``sum b! f_b x^b``.  A row
+    scaling changes neither the rank nor the right kernel, so Hilbert
+    vectors and annihilator bases read the same off either matrix.
+    """
+    if convention is DUAL_BASIS:
+        return f
+    terms = {b: c * prod(map(factorial, b)) for b, c in f.terms.items()}
+    return GradedPolynomial(f.num_vars, f.degree, terms)
+
+
+def annihilator_dimension(f: GradedPolynomial, j: int) -> int:
     """Dimension of the degree-j slice of the annihilator ideal of ``f``.
 
     Beyond the degree of ``f`` every operator annihilates.
@@ -217,7 +208,7 @@ def annihilator_dimension(
         raise ValueError("degree must be nonnegative")
     if j > f.degree:
         return monomial_count(f.num_vars, j)
-    m = catalecticant_matrix(f, j, convention)
+    m = catalecticant_matrix(f, j)
     return m.cols - rank(m)
 
 
@@ -230,7 +221,7 @@ def annihilator_basis(
     polynomials over the pinned lex basis.  Deterministic."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    m = catalecticant_matrix(f, j, convention)
+    m = catalecticant_matrix(_dual_form(f, convention), j)
     col_basis = enumerate_exponents(f.num_vars, j)
     out = []
     for vec in kernel_basis(m):
@@ -250,9 +241,8 @@ def hilbert_vector(
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    return tuple(
-        rank(catalecticant_matrix(f, j, convention)) for j in range(f.degree + 1)
-    )
+    f = _dual_form(f, convention)
+    return tuple(rank(catalecticant_matrix(f, j)) for j in range(f.degree + 1))
 
 
 def is_standard(f: GradedPolynomial) -> bool:

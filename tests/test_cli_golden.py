@@ -17,6 +17,7 @@ from apolar.cli import main
 F25 = "x1^5 - 2*x1^3*x2^2 + 3/4*x1^2*x2^3 + 7*x2^5"
 F34 = "x1^4 + 2*x1^2*x2*x3 - 5/3*x1*x2^3 + x1*x2*x3^2 + x2^2*x3^2 - 3*x3^4"
 G34 = "2*x1^3*x2 - 1/2*x1*x2^3 + 3*x2^2*x3^2 + x3^4"
+ALIGNED = "x1^3 + x1^2*x2 + x1*x2^2 + x2^3"
 # pool form 109 of the benchmark, which reads "verified": false
 C33 = "x1^3 + x1^2*x2 + x1*x2*x3 + x1*x3^2 + x2^3 + x2^2*x3"
 # pool forms 126 and 38, the two slowest generator forms of the benchmark;
@@ -58,6 +59,24 @@ GOLDEN = {
     "hilbert-3-4-diff": (
         ["hilbert", "--poly", F34, "--nvars", "3", "--convention", "diff"],
         "a93bae5f6738e45003aa745b360c12b2eb5669b77c5e04f986ec73be28c2c239",
+    ),
+    # an aligned form on which the two pairings differ (dual h_1 = 1, diff
+    # h_1 = 2); recorded before differentiation became a rescale of the form
+    "hilbert-aligned-dual": (
+        ["hilbert", "--poly", ALIGNED, "--nvars", "2", "--convention", "dual"],
+        "9660fde139d9072ae5fdcb41078a468c9f7b7bedaa0ae1de4db16bc46056fb9f",
+    ),
+    "hilbert-aligned-diff": (
+        ["hilbert", "--poly", ALIGNED, "--nvars", "2", "--convention", "diff"],
+        "6d0a73a0a85beab153771c03261430c4761b0d2abc672febf1c645a4fa985d13",
+    ),
+    "ann-aligned-dual": (
+        ["ann", "--poly", ALIGNED, "--nvars", "2", "--degree", "1", "--convention", "dual"],
+        "fe97a7b437818d77a73a32093fcb2a613f2d57ec09190d6ae375d3ca35faed86",
+    ),
+    "ann-aligned-diff": (
+        ["ann", "--poly", ALIGNED, "--nvars", "2", "--degree", "1", "--convention", "diff"],
+        "a24c61968cba732037903664b707ba617365746a6654bed61c1f9ce6d1b05790",
     ),
     "ann-dual": (
         ["ann", "--poly", G34, "--nvars", "3", "--degree", "3", "--convention", "dual"],

@@ -23,7 +23,6 @@ from apolar.perazzo import (
     conjecture_sample_check,
     degree2_census,
     full_perazzo_hilbert,
-    hilbert_h2,
     is_bihomogeneous,
 )
 from apolar.polynomials import (
@@ -95,10 +94,6 @@ CHECKS = {
     "degree2_census-linear": (
         lambda: degree2_census(LINEAR),
         "degree-2 census needs socle degree at least 2",
-    ),
-    "hilbert_h2-linear": (
-        lambda: hilbert_h2(LINEAR),
-        "needs socle degree at least 2",
     ),
     "conjecture_sample_check-negative-trials": (
         lambda: conjecture_sample_check(2, 3, -1, 1),

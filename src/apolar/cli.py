@@ -9,12 +9,18 @@ decimal output anywhere.
 
 Exit codes, all decided by :func:`main`: 0 success (also after ``--help``),
 1 usage or input error, 2 resource guard violation.
+
+:func:`main` may be called repeatedly in one process.  The parser is built
+on the first call and reused after that (parsing never changes it, and each
+call gets a fresh namespace), so every call prints the same bytes and
+returns the same exit code as a fresh ``python -m apolar.cli`` process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -297,7 +303,10 @@ def _add_convention(parser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process: callers parse with it and never change it."""
     parser = argparse.ArgumentParser(
         prog="apolar",
         description="Exact apolarity computations for graded Artinian Gorenstein algebras.",

@@ -54,8 +54,8 @@ class GradedPolynomial:
     rationals, each an ``int`` or a ``Fraction`` (they hash and compare
     alike).  An empty map is the zero polynomial of the given graded slot.
     The value is immutable: ``terms`` is a read-only copy of the map given.
-    Every term must have ``num_vars`` entries summing to ``degree``; unlike
-    :func:`graded_polynomial`, nothing is normalized."""
+    Every term must have ``num_vars`` nonnegative entries summing to
+    ``degree``; unlike :func:`graded_polynomial`, nothing is normalized."""
 
     num_vars: int
     degree: int
@@ -69,6 +69,8 @@ class GradedPolynomial:
                     f"term {exps} is not of degree {self.degree} "
                     f"in {self.num_vars} variables"
                 )
+            if min(exps, default=0) < 0:
+                raise ValueError(f"term {exps} has a negative exponent")
         object.__setattr__(self, "terms", terms)
 
     def __hash__(self):

@@ -111,6 +111,11 @@ CHECKS = {
         lambda: graded_polynomial(2, {(3, -1): 1}),
         "negative exponent in (3, -1)",
     ),
+    "GradedPolynomial-negative-exponent": (
+        # of the right length and degree: would read as x1*x2 alone
+        lambda: GradedPolynomial(2, 2, {(-1, 3): 1, (1, 1): 1}),
+        "term (-1, 3) has a negative exponent",
+    ),
     "catalecticant_matrix-above-degree": (
         lambda: catalecticant_matrix(QUADRIC, 3),
         "degree 3 outside 0..2",

@@ -1,5 +1,7 @@
+import argparse
 import ast
 import hashlib
+import importlib
 import itertools
 import json
 import subprocess
@@ -274,3 +276,61 @@ def test_cli_output_byte_stable():
     b = _run_cli(["perazzo", "census", "--n", "2", "--d", "3"])
     assert a.stdout == b.stdout
     assert a.returncode == 0
+
+
+CUBIC = ["--poly", "x1^3 + x1^2*x2 + x1*x2^2 + x2^3", "--nvars", "2"]
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # argparse wraps help to the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ["--help"],
+        ["hilbert", "--nvars", "2"],  # usage error: no --poly
+        ["frobnicate"],  # unknown command
+        ["locus", "enumerate", "--nvars", "3", "--degree", "4", "--guard", "5"],
+        ["--help"],
+        ["locus", "--help"],
+        ["hilbert", *CUBIC, "--convention", "diff"],
+        ["hilbert", *CUBIC],  # the default convention, not the last one
+    ]
+    in_process = []
+    for argv in sequence:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((captured.out, captured.err, code))
+    fresh = {}
+    for argv in sequence:
+        if tuple(argv) not in fresh:
+            proc = _run_cli(argv)
+            fresh[tuple(argv)] = (proc.stdout, proc.stderr, proc.returncode)
+    assert len(fresh) == 7
+    assert in_process == [fresh[tuple(argv)] for argv in sequence]
+    assert [code for _, _, code in in_process] == [0, 1, 1, 2, 0, 0, 0, 0]
+    hilbert = [json.loads(out)["hilbert"] for out, _, _ in in_process[-2:]]
+    assert hilbert == [[1, 2, 2, 1], [1, 1, 1, 1]]
+
+
+def test_main_builds_the_parser_once_and_lazily(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # a fresh import, restored afterwards, so no earlier call has built it
+    monkeypatch.delitem(sys.modules, "apolar.cli")
+    monkeypatch.delattr(apolar, "cli", raising=False)
+    cli = importlib.import_module("apolar.cli")
+    assert built == []
+    assert cli.main(["hilbert", "--poly", "x1^2", "--nvars", "1"]) == 0
+    assert built  # the counter sees the first call's parsers
+    built.clear()
+    assert cli.main(["cw", "--poly", "x1^2 + x1*x2", "--nvars", "2"]) == 0
+    assert cli.main(["locus", "maps", "--n", "2", "--d", "2"]) == 0
+    assert cli.main(["perazzo", "hilbert", "--n", "2", "--d", "3"]) == 0
+    assert cli.main(["hilbert", "--nvars", "2"]) == 1  # usage error
+    capsys.readouterr()
+    assert built == []

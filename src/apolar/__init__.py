@@ -57,17 +57,15 @@ from .perazzo import (
     is_bihomogeneous,
 )
 from .polynomials import (
-    DIFFERENTIATION,
-    DUAL_BASIS,
     GradedPolynomial,
     HilbertOrder,
-    PairingConvention,
     annihilator_basis,
     annihilator_dimension,
     catalecticant_matrix,
     coefficient_one_poly,
     compare_hilbert,
     contract,
+    differentiation_form,
     graded_polynomial,
     hilbert_vector,
     is_standard,

@@ -56,10 +56,9 @@ from .perazzo import (
     is_bihomogeneous,
 )
 from .polynomials import (
-    DIFFERENTIATION,
-    DUAL_BASIS,
     annihilator_basis,
     coefficient_one_poly,
+    differentiation_form,
     hilbert_vector,
     is_standard,
 )
@@ -70,17 +69,20 @@ def _emit(payload: dict) -> None:
     print(json.dumps({"schema_version": 1, **payload}, indent=2, sort_keys=True))
 
 
-def _convention(args):
-    return DIFFERENTIATION if args.convention == "diff" else DUAL_BASIS
-
-
 def _parse_poly_args(args):
     return parse_polynomial(args.poly, args.nvars, args.uvars)
 
 
-def _cmd_hilbert(args) -> None:
+def _paired_form(args):
+    """The parsed form, rescaled by ``differentiation_form`` under
+    ``--convention diff`` so that contraction reads differentiation."""
     f = _parse_poly_args(args)
-    h = hilbert_vector(f, _convention(args))
+    return differentiation_form(f) if args.convention == "diff" else f
+
+
+def _cmd_hilbert(args) -> None:
+    f = _paired_form(args)
+    h = hilbert_vector(f)
     _emit(
         {
             "hilbert": list(h),
@@ -92,11 +94,10 @@ def _cmd_hilbert(args) -> None:
 
 
 def _cmd_ann(args) -> None:
-    f = _parse_poly_args(args)
+    f = _paired_form(args)
     if not 1 <= args.degree <= f.degree:
         raise ValueError(f"--degree must be in 1..{f.degree}")
-    conv = _convention(args)
-    basis = annihilator_basis(f, args.degree, conv)
+    basis = annihilator_basis(f, args.degree)
     _emit(
         {
             "degree": args.degree,

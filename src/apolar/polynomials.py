@@ -4,21 +4,21 @@ A homogeneous polynomial is a finite map from exponent tuples to nonzero
 rationals.  Differential operators live in the dual variables and are stored
 with the same type; which ring a value belongs to is determined by use.
 
-The pairing of this module is ``DUAL_BASIS`` (contraction): a degree-a
+The library has one pairing, contraction (the dual-basis rule): a degree-a
 operator monomial sends ``x^b`` to ``x^(b-a)`` when ``a <= b`` coordinatewise
 and to zero otherwise, so the equal-degree pairing of monomial bases is the
-Kronecker delta.  :func:`contract`, :func:`catalecticant_matrix` and
-:func:`annihilator_dimension` use it alone.
+Kronecker delta.  Every function here uses it, and none takes a pairing mode.
 
-``DIFFERENTIATION`` (honest partial derivatives) is offered by
-:func:`hilbert_vector` and :func:`annihilator_basis`, read as the dual pairing
-on ``sum b! f_b x^b``: over the rationals the two actions are the same module
-(the divided-power isomorphism of apolarity).  The two conventions agree for
-generic coefficients, but not for every polynomial: coefficient patterns
-aligned with the basis (for example all-ones coefficients) can gain
-dual-basis relations that differentiation does not see.  The default is
-pinned to ``DUAL_BASIS``, under which the coefficient-one combinatorics of
-this package is exact.
+Differentiation (honest partial derivatives) is contraction on
+``differentiation_form(f) = sum b! f_b x^b``: over the rationals the two
+actions are the same module (the divided-power isomorphism of apolarity).
+So ``hilbert_vector(differentiation_form(f))`` is the Hilbert vector of
+``f`` under differentiation, and likewise for :func:`annihilator_basis`.
+The two pairings of ``f`` itself agree for generic coefficients, but not
+for every polynomial: coefficient patterns aligned with the basis (for
+example all-ones coefficients) can gain dual-basis relations that
+differentiation does not see.  Contraction is the pairing under which the
+coefficient-one combinatorics of this package is exact.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ from .monomials import ExponentVector, basis_index, enumerate_exponents, monomia
 _ZERO = Fraction(0)
 
 
-class PairingConvention(Enum):
-    DUAL_BASIS = "dual"
-    DIFFERENTIATION = "diff"
-
-
-DUAL_BASIS = PairingConvention.DUAL_BASIS
-DIFFERENTIATION = PairingConvention.DIFFERENTIATION
-
-
 @dataclass(frozen=True, eq=True)
 class GradedPolynomial:
     """Homogeneous polynomial: ``terms`` maps exponent tuples to nonzero
@@ -63,7 +54,7 @@ class GradedPolynomial:
 
     def __post_init__(self):
         terms = MappingProxyType(dict(self.terms))
-        for exps in terms:
+        for exps, coeff in terms.items():
             if len(exps) != self.num_vars or sum(exps) != self.degree:
                 raise ValueError(
                     f"term {exps} is not of degree {self.degree} "
@@ -71,6 +62,8 @@ class GradedPolynomial:
                 )
             if min(exps, default=0) < 0:
                 raise ValueError(f"term {exps} has a negative exponent")
+            if not coeff:
+                raise ValueError(f"term {exps} has a zero coefficient")
         object.__setattr__(self, "terms", terms)
 
     def __hash__(self):
@@ -184,17 +177,15 @@ def _hankel_positions(b: ExponentVector, low: int) -> tuple[tuple[int, ...], ...
     return tuple(into_low), tuple(into_high)
 
 
-def _dual_form(f: GradedPolynomial, convention: PairingConvention) -> GradedPolynomial:
-    """The form whose dual-basis catalecticants stand for ``f``'s under
-    ``convention``: ``f`` itself, or ``sum b! f_b x^b`` for differentiation.
+def differentiation_form(f: GradedPolynomial) -> GradedPolynomial:
+    """The form ``sum b! f_b x^b``, whose contraction catalecticants stand
+    for ``f``'s under differentiation.  Coefficients keep their type.
 
     Differentiation puts f_b b!/r! at entry (r, c) of C_j, with b = r + c:
-    that is diag(1/r!) times the dual C_j of ``sum b! f_b x^b``.  A row
+    that is diag(1/r!) times C_j of ``differentiation_form(f)``.  A row
     scaling changes neither the rank nor the right kernel, so Hilbert
     vectors and annihilator bases read the same off either matrix.
     """
-    if convention is DUAL_BASIS:
-        return f
     terms = {b: c * prod(map(factorial, b)) for b, c in f.terms.items()}
     return GradedPolynomial(f.num_vars, f.degree, terms)
 
@@ -214,16 +205,12 @@ def annihilator_dimension(f: GradedPolynomial, j: int) -> int:
     return m.cols - rank(m)
 
 
-def annihilator_basis(
-    f: GradedPolynomial,
-    j: int,
-    convention: PairingConvention = DUAL_BASIS,
-) -> list[GradedPolynomial]:
+def annihilator_basis(f: GradedPolynomial, j: int) -> list[GradedPolynomial]:
     """Canonical basis of the degree-j annihilator slice, as operator
     polynomials over the pinned lex basis.  Deterministic."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    m = catalecticant_matrix(_dual_form(f, convention), j)
+    m = catalecticant_matrix(f, j)
     col_basis = enumerate_exponents(f.num_vars, j)
     out = []
     for vec in kernel_basis(m):
@@ -232,10 +219,7 @@ def annihilator_basis(
     return out
 
 
-def hilbert_vector(
-    f: GradedPolynomial,
-    convention: PairingConvention = DUAL_BASIS,
-) -> tuple[int, ...]:
+def hilbert_vector(f: GradedPolynomial) -> tuple[int, ...]:
     """Dimensions of the graded quotient algebra, degree by degree.
 
     Entry j is the rank of its own catalecticant C_j; the symmetry of the
@@ -243,7 +227,6 @@ def hilbert_vector(
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    f = _dual_form(f, convention)
     return tuple(rank(catalecticant_matrix(f, j)) for j in range(f.degree + 1))
 
 

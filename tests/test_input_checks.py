@@ -116,6 +116,11 @@ CHECKS = {
         lambda: GradedPolynomial(2, 2, {(-1, 3): 1, (1, 1): 1}),
         "term (-1, 3) has a negative exponent",
     ),
+    "GradedPolynomial-zero-coefficient": (
+        # would differ from x1*x2 in ==, hash and the cell count vector
+        lambda: GradedPolynomial(2, 2, {(2, 0): 0, (1, 1): 1}),
+        "term (2, 0) has a zero coefficient",
+    ),
     "catalecticant_matrix-above-degree": (
         lambda: catalecticant_matrix(QUADRIC, 3),
         "degree 3 outside 0..2",

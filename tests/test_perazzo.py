@@ -21,10 +21,10 @@ from apolar.perazzo import (
     worker_count,
 )
 from apolar.polynomials import (
-    DIFFERENTIATION,
     annihilator_basis,
     catalecticant_matrix,
     coefficient_one_poly,
+    differentiation_form,
     graded_polynomial,
     hilbert_vector,
     is_standard,
@@ -222,11 +222,13 @@ def test_draws_equal_their_normalized_form(n, d):
             a = catalecticant_matrix(f, j)
             b = catalecticant_matrix(g, j)
             assert (a.rows, a.cols, a.entries) == (b.rows, b.cols, b.entries)
-            assert annihilator_basis(f, j, DIFFERENTIATION) == annihilator_basis(
-                g, j, DIFFERENTIATION
+            assert annihilator_basis(differentiation_form(f), j) == annihilator_basis(
+                differentiation_form(g), j
             )
         assert hilbert_vector(f) == hilbert_vector(g)
-        assert hilbert_vector(f, DIFFERENTIATION) == hilbert_vector(g, DIFFERENTIATION)
+        assert hilbert_vector(differentiation_form(f)) == hilbert_vector(
+            differentiation_form(g)
+        )
 
 
 def test_dominated_draw_prints_int_and_fraction_terms_alike():

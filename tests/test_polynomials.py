@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apolar.polynomials import (
-    DIFFERENTIATION,
-    DUAL_BASIS,
     GradedPolynomial,
     HilbertOrder,
     annihilator_basis,
@@ -16,6 +14,7 @@ from apolar.polynomials import (
     coefficient_one_poly,
     compare_hilbert,
     contract,
+    differentiation_form,
     graded_polynomial,
     hilbert_vector,
     is_standard,
@@ -136,7 +135,7 @@ def _forms(draw):
 def test_catalecticant_agrees_with_the_lookup_oracle(f):
     # the dual C_j entry by entry; differentiation, read off the rescaled
     # form, by the oracle's rank and canonical kernel of its own matrix
-    h_diff = hilbert_vector(f, DIFFERENTIATION)
+    h_diff = hilbert_vector(differentiation_form(f))
     for j in range(f.degree + 1):
         m = catalecticant_matrix(f, j)
         expected = catalecticant_by_lookup(f.num_vars, f.terms, j)
@@ -147,7 +146,7 @@ def test_catalecticant_agrees_with_the_lookup_oracle(f):
         col_basis = enumerate_exponents(f.num_vars, j)
         basis = [
             tuple(op.terms.get(c, 0) for c in col_basis)
-            for op in annihilator_basis(f, j, DIFFERENTIATION)
+            for op in annihilator_basis(differentiation_form(f), j)
         ]
         assert basis == [tuple(v) for v in nullspace_rref(diff, len(col_basis))]
 
@@ -162,7 +161,7 @@ def test_rank_is_convention_independent_on_random_draws(trial):
     rng = substream(2101, trial)
     n, d = 1 + rng.below(3), 1 + rng.below(5)
     f = random_polynomial(rng, n, d)
-    assert hilbert_vector(f, DUAL_BASIS) == hilbert_vector(f, DIFFERENTIATION)
+    assert hilbert_vector(f) == hilbert_vector(differentiation_form(f))
 
 
 def test_conventions_can_disagree_on_aligned_coefficients():
@@ -170,8 +169,26 @@ def test_conventions_can_disagree_on_aligned_coefficients():
     # that honest differentiation does not see; random draws above almost
     # never hit such alignments, but they exist and are not a bug.
     f = coefficient_one_poly(2, [(3, 0), (2, 1), (1, 2), (0, 3)])
-    assert hilbert_vector(f, DUAL_BASIS)[1] == 1
-    assert hilbert_vector(f, DIFFERENTIATION)[1] == 2
+    assert hilbert_vector(f)[1] == 1
+    assert hilbert_vector(differentiation_form(f))[1] == 2
+
+
+def test_differentiation_form_multiplies_each_coefficient_by_b_factorial():
+    f = coefficient_one_poly(2, [(3, 0), (2, 1), (1, 2), (0, 3)])
+    expected = graded_polynomial(2, {(3, 0): 6, (2, 1): 2, (1, 2): 2, (0, 3): 6})
+    assert differentiation_form(f) == expected
+
+
+def test_differentiation_form_keeps_the_coefficient_type():
+    # int draws keep integer catalecticants; Fractions stay Fractions
+    f = GradedPolynomial(2, 3, {(3, 0): -2, (2, 1): 5})
+    terms = differentiation_form(f).terms
+    assert terms == {(3, 0): -12, (2, 1): 10}
+    assert all(type(c) is int for c in terms.values())
+    g = graded_polynomial(2, {(2, 1): Fraction(1, 3), (0, 3): 1})
+    terms = differentiation_form(g).terms
+    assert terms == {(2, 1): Fraction(2, 3), (0, 3): 6}
+    assert all(type(c) is Fraction for c in terms.values())
 
 
 def test_ann_dimension_golden():

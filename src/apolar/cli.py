@@ -280,7 +280,9 @@ def _cmd_perazzo_census(args) -> None:
 
 def _cmd_conjecture(args) -> None:
     _emit(
-        conjecture_sample_check(args.n, args.d, args.trials, args.seed, jobs=args.jobs)
+        conjecture_sample_check(
+            args.n, args.d, args.trials, args.seed, jobs=args.jobs, max_dim=args.max_dim
+        )
     )
 
 
@@ -390,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MATRIX_GUARD)
     p.set_defaults(func=_cmd_conjecture)
 
     return parser

@@ -9,10 +9,15 @@ generated by three structured families:
 
 ``extract_generators`` emits these families degree by degree, pruning every
 candidate that already lies in the ideal generated so far, so the output is
-non-redundant and deterministic.  ``verify_generators`` checks degree-wise
-that a generator set really generates the whole annihilator: the degree-j
-slice of the annihilator is the kernel of the catalecticant C_j, whose
-columns are the only contraction images this module reads.
+non-redundant and deterministic.  The degree-j slice of the annihilator is
+the kernel of the catalecticant C_j, whose columns are the only contraction
+images this module reads.  Every candidate is an annihilator, so each
+degree's span lies in ker C_j: extraction stops a degree once the span
+reaches dim ker C_j (and the degree d+1 span once it is the whole operator
+space), and a degree already saturated before its image scan skips the scan
+after the subset guard.  No kept candidate changes.  ``verify_generators``
+checks degree-wise, in full and independently of extraction, that a
+generator set really generates the whole annihilator.
 """
 
 from __future__ import annotations
@@ -82,10 +87,12 @@ def _ideal_span(
     generators: list[tuple[int, GradedPolynomial]],
     n: int,
     j: int,
+    full: int | None = None,
 ) -> tuple[Mapping[ExponentVector, int], Echelon]:
     """Span of all degree-j monomial multiples of the given generators, as an
     echelon of ``int`` vectors, and the position of each degree-j monomial in
-    those vectors."""
+    those vectors.  With ``full``, a dimension the span cannot exceed, the
+    multiples stop once it has ``full`` pivots."""
     index = basis_index(n, j)
     span = Echelon()
     for degree, poly in generators:
@@ -93,6 +100,8 @@ def _ideal_span(
             continue
         terms = tuple(zip(poly.terms, integer_row(poly.terms.values())))
         for m in enumerate_exponents(n, j - degree):
+            if len(span.pivots) == full:
+                return index, span
             v = [0] * len(index)
             for e, c in terms:
                 v[index[tuple(map(add, e, m))]] = c
@@ -106,21 +115,10 @@ def _unit(index: Mapping[ExponentVector, int], m: ExponentVector) -> list[int]:
     return v
 
 
-def contraction_image_classes(
-    f: GradedPolynomial,
-    j: int,
-    max_subsets: int = DEFAULT_SUBSET_GUARD,
-) -> list[list[tuple[ExponentVector, ...]]]:
-    """Partition of coefficient-one degree-j operator polynomials by image.
-
-    Polynomials are identified with their supports (nonempty subsets of the
-    monomials that do not annihilate ``f``); two belong to the same class
-    exactly when they contract ``f`` to the same polynomial.  The image of
-    the degree-j monomial X^c is column c of the catalecticant C_j, so a
-    support's image is the sum of its columns; a Gray-code scan adds or
-    subtracts one column per subset.  Classes and members come back sorted,
-    so the result is deterministic.
-    """
+def _image_columns(f: GradedPolynomial, j: int, max_subsets: int):
+    """C_j, the degree-j monomials that do not annihilate ``f`` and their
+    columns of C_j as nonzero (row, value) entries, after the subset guard
+    has seen their count."""
     if not 1 <= j <= f.degree:
         raise ValueError(f"degree {j} outside 1..{f.degree}")
     c_j = catalecticant_matrix(f, j)
@@ -134,10 +132,16 @@ def contraction_image_classes(
     count = len(cells)
     # no non-annihilating monomial means nothing to scan, whatever the guard
     check_guard("subset count", count and 1 << count, max_subsets, "max_subsets")
+    return c_j, cells, images
+
+
+def _scan_image_classes(rows: int, cells, images) -> list[list[tuple[ExponentVector, ...]]]:
+    """The Gray-code scan of ``contraction_image_classes`` over the columns
+    that ``_image_columns`` returns."""
     groups: dict[tuple, list[int]] = {}
-    running = [0] * c_j.rows
+    running = [0] * rows
     gray = 0
-    for i in range(1, 1 << count):
+    for i in range(1, 1 << len(cells)):
         bit = (i & -i).bit_length() - 1
         gray ^= 1 << bit
         if gray >> bit & 1:
@@ -155,6 +159,25 @@ def contraction_image_classes(
     return classes
 
 
+def contraction_image_classes(
+    f: GradedPolynomial,
+    j: int,
+    max_subsets: int = DEFAULT_SUBSET_GUARD,
+) -> list[list[tuple[ExponentVector, ...]]]:
+    """Partition of coefficient-one degree-j operator polynomials by image.
+
+    Polynomials are identified with their supports (nonempty subsets of the
+    monomials that do not annihilate ``f``); two belong to the same class
+    exactly when they contract ``f`` to the same polynomial.  The image of
+    the degree-j monomial X^c is column c of the catalecticant C_j, so a
+    support's image is the sum of its columns; a Gray-code scan adds or
+    subtracts one column per subset.  Classes and members come back sorted,
+    so the result is deterministic.
+    """
+    c_j, cells, images = _image_columns(f, j, max_subsets)
+    return _scan_image_classes(c_j.rows, cells, images)
+
+
 def extract_generators(
     f: GradedPolynomial,
     max_subsets: int = DEFAULT_SUBSET_GUARD,
@@ -164,7 +187,11 @@ def extract_generators(
     Candidates are processed in a fixed order (non-faces by degree, then
     consecutive-pair differences within each equal-image class, then top
     powers) and kept only when outside the ideal generated so far.
-    Differences are searched in every degree up to the socle degree.
+    Differences are searched in every degree up to the socle degree.  Every
+    candidate annihilates ``f``, so a degree stops once its span has
+    dim ker C_j pivots, after which no candidate would be kept; a degree
+    saturated before its image scan skips the scan, after the subset guard
+    has seen its count.  Degree d+1 stops once its span is the whole space.
     """
     if not f.is_coefficient_one():
         raise ValueError("generator extraction requires all coefficients equal to 1")
@@ -174,16 +201,20 @@ def extract_generators(
     nonfaces: dict[int, frozenset] = {}
     differences: dict[int, tuple] = {}
     for j in range(1, d + 1):
+        c_j, cells, images = _image_columns(f, j, max_subsets)
+        full = c_j.cols - rank(c_j)
         nf = minimal_nonfaces(zeta, j)
         if nf:
             nonfaces[j] = frozenset(nf)
-        index, span = _ideal_span(kept, n, j)
+        index, span = _ideal_span(kept, n, j, full)
         for m in nf:
-            span.add(_unit(index, m))
+            if len(span.pivots) < full:
+                span.add(_unit(index, m))
             kept.append((j, monomial_poly(n, m)))
         pairs = []
-        for cls in contraction_image_classes(f, j, max_subsets=max_subsets):
-            for left, right in zip(cls, cls[1:]):
+        if len(span.pivots) < full:
+            classes = _scan_image_classes(c_j.rows, cells, images)
+            for left, right in (p for cls in classes for p in zip(cls, cls[1:])):
                 v = [0] * len(index)
                 for e in left:
                     v[index[e]] += 1
@@ -194,13 +225,16 @@ def extract_generators(
                     p2 = graded_polynomial(n, {e: 1 for e in right})
                     pairs.append((p1, p2))
                     kept.append((j, _difference(p1, p2)))
+                    if len(span.pivots) == full:
+                        break
         if pairs:
             differences[j] = tuple(pairs)
-    index, top_span = _ideal_span(kept, n, d + 1)
+    full = monomial_count(n, d + 1)
+    index, top_span = _ideal_span(kept, n, d + 1, full)
     powers = set()
     for k in range(1, n + 1):
         exps = tuple(d + 1 if t == k - 1 else 0 for t in range(n))
-        if top_span.add(_unit(index, exps)):
+        if len(top_span.pivots) < full and top_span.add(_unit(index, exps)):
             powers.add((k, d + 1))
     return GeneratorSet(n, d, frozenset(powers), nonfaces, differences)
 

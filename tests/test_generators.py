@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
+from apolar import generators
 from apolar.errors import GuardExceeded
 from apolar.generators import (
     GeneratorSet,
@@ -357,6 +359,67 @@ def test_extraction_passes_the_subset_guard_to_every_degree():
     assert "64 exceeds the guard of 63" in str(refused.value)
     assert "max_subsets" in str(refused.value)
     assert extract_generators(f, max_subsets=64) == extract_generators(f)
+
+
+def test_extraction_guards_a_degree_before_skipping_its_scan():
+    # x1*x2^2 has two non-annihilating monomials (4 subsets) in degrees 1 and
+    # 2, and both degrees are saturated before their image scan
+    f = parse_polynomial("x1*x2^2", 2)
+    with pytest.raises(GuardExceeded) as refused:
+        extract_generators(f, max_subsets=3)
+    assert "4 exceeds the guard of 3" in str(refused.value)
+    assert "max_subsets" in str(refused.value)
+
+
+def test_extraction_skips_the_scan_of_saturated_degrees(monkeypatch):
+    f = parse_polynomial("x1*x2^2", 2)
+    expected = extract_generators(f)
+
+    def no_scan(*args):
+        raise AssertionError("a saturated degree ran its image scan")
+
+    monkeypatch.setattr(generators, "_scan_image_classes", no_scan)
+    assert extract_generators(f) == expected
+
+
+def _standard_supports(n, d):
+    """Coefficient-one forms on every standard support, by size then lex."""
+    basis = enumerate_exponents(n, d)
+    supports = [
+        support
+        for size in range(1, len(basis) + 1)
+        for support in itertools.combinations(basis, size)
+    ]
+    forms = [coefficient_one_poly(n, support) for support in supports]
+    return [f for f in forms if is_standard(f)]
+
+
+def _extraction_digest(forms):
+    digest = hashlib.sha256()
+    for f in forms:
+        for degree, p in extract_generators(f).polynomials():
+            terms = [(e, str(c)) for e, c in sorted(p.terms.items())]
+            digest.update(repr((degree, terms)).encode())
+        digest.update(b";")
+    return digest.hexdigest()
+
+
+# SHA-256 of extract_generators(f).polynomials() (degrees, exponents and
+# coefficients, in order) over every standard coefficient-one support in the
+# order of _standard_supports.  The digests were computed before extraction
+# stopped each degree at dim ker C_j; the stops must not change any output.
+@pytest.mark.parametrize(
+    "n,d,standard,expected",
+    [
+        (2, 5, 60, "15b5c526e11db84d2c63c6efcd3b87601a342b3f14e5c4027a3fb47cab24d738"),
+        (2, 6, 124, "c2672cd5c829b779595172cc25146c3c74cc4777099562ebd32213c59339167e"),
+        (3, 3, 944, "364b632686d03db72a0a143549bbd21a0e8d6c3cdffa5be7f4bc474f00eb2d41"),
+    ],
+)
+def test_extraction_output_is_pinned_on_standard_supports(n, d, standard, expected):
+    forms = _standard_supports(n, d)
+    assert len(forms) == standard
+    assert _extraction_digest(forms) == expected
 
 
 # Criterion 7's (3, 3) draws: random_coefficient_one_standard at substream

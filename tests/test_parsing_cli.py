@@ -258,6 +258,19 @@ def test_cli_conjecture_zero_trials(capsys):
     assert payload["violators"] == []
 
 
+def test_cli_conjecture_max_dim_just_over_limit(capsys):
+    # at (2,4) the reference Hilbert vector guards monomial_count(6, 4) = 126
+    argv = ["conjecture", "--n", "2", "--d", "4", "--trials", "1", "--seed", "1",
+            "--jobs", "1", "--max-dim"]
+    assert main(argv + ["125"]) == 2
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert "126 exceeds the guard of 125" in refused.err
+    assert "--max-dim" in refused.err
+    assert main(argv + ["126"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 1
+
+
 def test_cli_exit_codes():
     usage = _run_cli(["hilbert", "--nvars", "2"])  # missing --poly
     assert usage.returncode == 1

@@ -135,7 +135,9 @@ def _image_columns(f: GradedPolynomial, j: int, max_subsets: int):
     return c_j, cells, images
 
 
-def _scan_image_classes(rows: int, cells, images) -> list[list[tuple[ExponentVector, ...]]]:
+def _scan_image_classes(
+    rows: int, cells, images
+) -> list[list[tuple[ExponentVector, ...]]]:
     """The Gray-code scan of ``contraction_image_classes`` over the columns
     that ``_image_columns`` returns."""
     groups: dict[tuple, list[int]] = {}

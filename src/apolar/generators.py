@@ -18,6 +18,11 @@ space), and a degree already saturated before its image scan skips the scan
 after the subset guard.  No kept candidate changes.  ``verify_generators``
 checks degree-wise, in full and independently of extraction, that a
 generator set really generates the whole annihilator.
+
+Every generator is built by ``_operator`` from term maps.  Extraction's
+maps have coefficients ±1, so its operators are ``int`` polynomials, and
+``_vector`` writes the same maps over a degree's monomial basis for the
+echelon spans.
 """
 
 from __future__ import annotations
@@ -29,14 +34,11 @@ from typing import Mapping
 
 from .complexes import complex_of, minimal_nonfaces
 from .errors import DEFAULT_SUBSET_GUARD, check_guard
-from .linalg import Echelon, integer_row, rank
+from .linalg import Echelon, rank
 from .monomials import ExponentVector, basis_index, enumerate_exponents, monomial_count
-from .polynomials import (
-    GradedPolynomial,
-    catalecticant_matrix,
-    graded_polynomial,
-    monomial_poly,
-)
+from .polynomials import GradedPolynomial, catalecticant_matrix
+
+_NO_TERMS: Mapping = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -63,24 +65,40 @@ class GeneratorSet:
 
         The degree is read from each polynomial; the dict keys only group.
         """
-        polys: list[GradedPolynomial] = []
-        for j in sorted(self.nonface_monomials):
-            for m in sorted(self.nonface_monomials[j]):
-                polys.append(monomial_poly(self.num_vars, m))
+        n, nf = self.num_vars, self.nonface_monomials
+        polys = [_operator(n, {m: 1}) for j in sorted(nf) for m in sorted(nf[j])]
         for j in sorted(self.differences):
-            for p1, p2 in self.differences[j]:
-                polys.append(_difference(p1, p2))
-        for k, e in sorted(self.powers):
-            exps = tuple(e if t == k - 1 else 0 for t in range(self.num_vars))
-            polys.append(monomial_poly(self.num_vars, exps))
+            polys += [_operator(n, p.terms, q.terms) for p, q in self.differences[j]]
+        polys += [_operator(n, _power(n, k, e)) for k, e in sorted(self.powers)]
         return [(p.degree, p) for p in polys]
 
 
-def _difference(p1: GradedPolynomial, p2: GradedPolynomial) -> GradedPolynomial:
-    terms = dict(p1.terms)
-    for e, c in p2.terms.items():
-        terms[e] = terms.get(e, 0) - c  # graded_polynomial drops the zeros
-    return graded_polynomial(p1.num_vars, terms)
+def _power(n: int, k: int, e: int) -> dict[ExponentVector, int]:
+    """The term map of X_k^e, for a 1-based variable index k."""
+    return {tuple(e if t == k - 1 else 0 for t in range(n)): 1}
+
+
+def _operator(n: int, terms: Mapping, minus: Mapping = _NO_TERMS) -> GradedPolynomial:
+    """The operator ``terms - minus`` in n variables, with the coefficients'
+    own types.  A difference that is zero or spans two degrees is refused."""
+    out = dict(terms)
+    for e, c in minus.items():
+        out[e] = out.get(e, 0) - c
+    out = {e: c for e, c in out.items() if c}
+    degrees = set(map(sum, out))
+    if len(degrees) != 1:
+        raise ValueError(f"inhomogeneous or zero operator: degrees {sorted(degrees)}")
+    return GradedPolynomial(n, degrees.pop(), out)
+
+
+def _vector(index: Mapping, terms: Mapping, minus: Mapping = _NO_TERMS) -> list:
+    """The operator ``terms - minus`` as a vector over the basis ``index``."""
+    v = [0] * len(index)
+    for e, c in terms.items():
+        v[index[e]] += c
+    for e, c in minus.items():
+        v[index[e]] -= c
+    return v
 
 
 def _ideal_span(
@@ -90,15 +108,15 @@ def _ideal_span(
     full: int | None = None,
 ) -> tuple[Mapping[ExponentVector, int], Echelon]:
     """Span of all degree-j monomial multiples of the given generators, as an
-    echelon of ``int`` vectors, and the position of each degree-j monomial in
-    those vectors.  With ``full``, a dimension the span cannot exceed, the
-    multiples stop once it has ``full`` pivots."""
+    echelon, and the position of each degree-j monomial in its vectors.  With
+    ``full``, a dimension the span cannot exceed, the multiples stop once it
+    has ``full`` pivots."""
     index = basis_index(n, j)
     span = Echelon()
     for degree, poly in generators:
         if degree > j:
             continue
-        terms = tuple(zip(poly.terms, integer_row(poly.terms.values())))
+        terms = tuple(poly.terms.items())
         for m in enumerate_exponents(n, j - degree):
             if len(span.pivots) == full:
                 return index, span
@@ -107,12 +125,6 @@ def _ideal_span(
                 v[index[tuple(map(add, e, m))]] = c
             span.add(v)
     return index, span
-
-
-def _unit(index: Mapping[ExponentVector, int], m: ExponentVector) -> list[int]:
-    v = [0] * len(index)
-    v[index[m]] = 1
-    return v
 
 
 def _image_columns(f: GradedPolynomial, j: int, max_subsets: int):
@@ -211,22 +223,16 @@ def extract_generators(
         index, span = _ideal_span(kept, n, j, full)
         for m in nf:
             if len(span.pivots) < full:
-                span.add(_unit(index, m))
-            kept.append((j, monomial_poly(n, m)))
+                span.add(_vector(index, {m: 1}))
+            kept.append((j, _operator(n, {m: 1})))
         pairs = []
         if len(span.pivots) < full:
             classes = _scan_image_classes(c_j.rows, cells, images)
             for left, right in (p for cls in classes for p in zip(cls, cls[1:])):
-                v = [0] * len(index)
-                for e in left:
-                    v[index[e]] += 1
-                for e in right:
-                    v[index[e]] -= 1
-                if span.add(v):
-                    p1 = graded_polynomial(n, {e: 1 for e in left})
-                    p2 = graded_polynomial(n, {e: 1 for e in right})
-                    pairs.append((p1, p2))
-                    kept.append((j, _difference(p1, p2)))
+                plus, minus = dict.fromkeys(left, 1), dict.fromkeys(right, 1)
+                if span.add(_vector(index, plus, minus)):
+                    pairs.append((_operator(n, plus), _operator(n, minus)))
+                    kept.append((j, _operator(n, plus, minus)))
                     if len(span.pivots) == full:
                         break
         if pairs:
@@ -235,8 +241,8 @@ def extract_generators(
     index, top_span = _ideal_span(kept, n, d + 1, full)
     powers = set()
     for k in range(1, n + 1):
-        exps = tuple(d + 1 if t == k - 1 else 0 for t in range(n))
-        if len(top_span.pivots) < full and top_span.add(_unit(index, exps)):
+        power = _power(n, k, d + 1)
+        if len(top_span.pivots) < full and top_span.add(_vector(index, power)):
             powers.add((k, d + 1))
     return GeneratorSet(n, d, frozenset(powers), nonfaces, differences)
 
@@ -249,9 +255,12 @@ def verify_generators(f: GradedPolynomial, gens: GeneratorSet) -> bool:
     catalecticant C_j (C_j kills every pivot row of its echelon) and have
     its dimension.  One degree above, the span must be the full operator
     space.  The span's vectors and the columns of C_j both follow the pinned
-    lex basis of degree j.
+    lex basis of degree j.  A generator set in another number of variables
+    than ``f`` is refused.
     """
     n, d = f.num_vars, f.degree
+    if gens.num_vars != n:
+        raise ValueError(f"generator set has {gens.num_vars} variables, the form {n}")
     generators = gens.polynomials()
     if any(degree == 0 for degree, _ in generators):
         return False  # a constant kills no nonzero f

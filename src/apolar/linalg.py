@@ -1,14 +1,17 @@
 """Exact dense linear algebra over the rationals, by integer elimination.
 
 Entries are ``int`` or ``fractions.Fraction``, with no floating point
-anywhere.  Rows are scaled to integers by the lcm of their denominators.  One
-elimination loop, ``Echelon``, serves every caller: it is Bareiss elimination
-(Math. Comp. 22, 1968) with rows taken one at a time in arrival order, so
-entries stay minors of the input.  ``rank`` stops at min(rows, cols) pivots of
-the longer side's lines, past which every line is in the span; ``kernel_basis``
-finishes the echelon into the Gauss-Jordan form, divided once at the end, and
-the generator spans in ``generators`` are echelons over a monomial basis.  The
-reduced row echelon form is unique, so identical inputs give identical outputs.
+anywhere.  ``Echelon.reduce`` scales each row it takes to integers by the lcm
+of its denominators, the one place a rational row becomes integral; rows of
+``int`` pass through unscaled.  One elimination loop, ``Echelon``, serves
+every caller: it is Bareiss elimination (Math. Comp. 22, 1968) with rows
+taken one at a time in arrival order, so entries stay minors of the input.
+``rank`` stops at min(rows, cols) pivots of the longer side's lines, past
+which every line is in the span; ``kernel_basis`` finishes the echelon into
+the Gauss-Jordan form, divided once at the end, and the generator spans in
+``generators`` are echelons of operator vectors over a monomial basis, all
+``int`` from extraction.  The reduced row echelon form is unique, so
+identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -44,19 +47,6 @@ class RationalMatrix:
         return self.entries[j :: self.cols]
 
 
-def integer_row(values) -> Sequence[int]:
-    """The row as integers: scaled by the lcm of its denominators, if any."""
-    if set(map(type, values)) <= {int}:
-        return values
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values]
-
-
-def first_nonzero(row) -> int | None:
-    """Index of the first nonzero entry, or None for a zero row."""
-    return next(compress(count(), row), None)
-
-
 def row_step(p: int, row, a: int, pivot, q: int) -> list[int]:
     """The row step of every elimination: ``(p * row - a * pivot) / q``, exact."""
     return [(p * x - a * y) // q for x, y in zip(row, pivot)]
@@ -82,8 +72,12 @@ class Echelon:
             self.add(row)
 
     def reduce(self, row) -> Sequence[int]:
-        """The row reduced by every pivot: zero exactly when in the span."""
-        row, q = integer_row(row), 1
+        """The row, scaled to integers by the lcm of its denominators if it
+        has any, reduced by every pivot: zero exactly when in the span."""
+        if not set(map(type, row)) <= {int}:
+            scale = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (scale // x.denominator) for x in row]
+        q = 1
         for c, prow in self.pivots:
             if row[c]:
                 p = prow[c]
@@ -97,7 +91,7 @@ class Echelon:
     def add(self, row) -> bool:
         """Insert unless already in the span; returns True when new."""
         row = self.reduce(row)
-        c = first_nonzero(row)
+        c = next(compress(count(), row), None)
         if c is None:
             return False
         self.pivots.append((c, row))

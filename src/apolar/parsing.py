@@ -122,25 +122,18 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def variable_name(index: int, num_vars: int, num_u_vars: int = 0, operator: bool = False) -> str:
-    x_count = num_vars - num_u_vars
-    if index < x_count:
-        name = f"x{index + 1}"
-    else:
-        name = f"u{index - x_count + 1}"
-    return name.upper() if operator else name
-
-
 def format_monomial(
     exps,
     num_u_vars: int = 0,
     operator: bool = False,
 ) -> str:
+    x_count = len(exps) - num_u_vars
     parts = []
     for index, power in enumerate(exps):
         if power == 0:
             continue
-        name = variable_name(index, len(exps), num_u_vars, operator)
+        name = f"x{index + 1}" if index < x_count else f"u{index - x_count + 1}"
+        name = name.upper() if operator else name
         parts.append(name if power == 1 else f"{name}^{power}")
     return "*".join(parts) if parts else "1"
 

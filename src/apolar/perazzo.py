@@ -196,8 +196,8 @@ def conjecture_sample_check(
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     workers = worker_count(jobs, trials, os.cpu_count())
-    num_vars = n + monomial_count(n, d - 1)
     reference = full_perazzo_hilbert(n, d, max_dim=max_dim)
+    num_vars = n + monomial_count(n, d - 1)
     work = [(seed, t, num_vars, d, reference) for t in range(trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -245,6 +245,8 @@ def coefficient_one_minimality_check(
     drawn like the conjecture harness: uniform nonzero integers in [-9, 9],
     one per support monomial in lex order, from the per-trial substream.
     """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     support = sorted(tuple(m) for m in support)
     if not support:
         raise ValueError("empty support")

@@ -1,7 +1,10 @@
+import ast
+import dataclasses
 import hashlib
 import itertools
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +143,83 @@ def test_difference_of_unequal_degrees_is_rejected():
     )
     with pytest.raises(ValueError, match="inhomogeneous"):
         verify_generators(_paper_quadric(), gens)
+
+
+# difference pairs with rational coefficients: (1/2, 2) against (5/2), whose
+# difference (X1^2 - X1*X2)/2 annihilates the paper's quadric, and (2) against
+# (1/2), whose difference does not
+_RATIONAL_PAIRS = {
+    "annihilating": ({(2, 0): Fraction(1, 2), (1, 1): 2}, {(1, 1): Fraction(5, 2)}),
+    "not-annihilating": ({(2, 0): 2}, {(1, 1): Fraction(1, 2)}),
+}
+
+
+def _quadric_set_with_pair(left, right):
+    """The published generating set, its difference pair replaced."""
+    pair = (graded_polynomial(2, left), graded_polynomial(2, right))
+    nonfaces = {2: frozenset({(0, 2)})}
+    return GeneratorSet(2, 2, frozenset({(1, 3)}), nonfaces, {2: (pair,)})
+
+
+@pytest.mark.parametrize("kind", sorted(_RATIONAL_PAIRS))
+def test_rational_difference_pairs_keep_their_coefficients(kind):
+    left, right = _RATIONAL_PAIRS[kind]
+    gens = _quadric_set_with_pair(left, right)
+    expected = graded_polynomial(
+        2, {e: left.get(e, 0) - right.get(e, 0) for e in {**left, **right}}
+    )
+    # nonface monomials come first, then the difference, then the power
+    degree, got = gens.polynomials()[1]
+    assert (degree, got) == (2, expected)
+    assert sorted((e, str(c)) for e, c in got.terms.items()) == sorted(
+        (e, str(c)) for e, c in expected.terms.items()
+    )
+    # the pair scaled by 2 to integer coefficients gets the same verdict
+    scaled = _quadric_set_with_pair(
+        {e: 2 * c for e, c in left.items()}, {e: 2 * c for e, c in right.items()}
+    )
+    verdict = verify_generators(_paper_quadric(), gens)
+    assert verdict == verify_generators(_paper_quadric(), scaled)
+    assert verdict is (kind == "annihilating")
+
+
+def _scale_pairs(gens):
+    """The set with its difference pairs scaled by 1/2 and 2 in turn: each
+    difference is scaled, so the ideal is the same."""
+    differences = {
+        j: tuple(
+            tuple(
+                graded_polynomial(p.num_vars, {e: s * c for e, c in p.terms.items()})
+                for p in pair
+            )
+            for s, pair in zip(itertools.cycle((Fraction(1, 2), 2)), pairs)
+        )
+        for j, pairs in gens.differences.items()
+    }
+    return dataclasses.replace(gens, differences=differences)
+
+
+def test_scaled_difference_pairs_get_the_verdict_of_extraction():
+    # draw 109 of criterion 7 fails verification; the rest verify
+    draws = [substream(52002, k) for k in (5, 21, 109)]
+    forms = [random_coefficient_one_standard(rng, 3, 3) for rng in draws]
+    for f in [_symmetric_cubic(), *forms]:
+        gens = extract_generators(f)
+        assert verify_generators(f, _scale_pairs(gens)) == verify_generators(f, gens)
+
+
+def test_generators_builds_operators_without_the_rational_constructors():
+    # every kept generator is an int operator built from term maps, and the
+    # echelon alone scales rational rows
+    tree = ast.parse(Path(generators.__file__).read_text())
+    named = {
+        value
+        for node in ast.walk(tree)
+        for value in (getattr(node, field, None) for field in ("id", "attr", "name"))
+        if isinstance(value, str)
+    }
+    retired = {"graded_polynomial", "monomial_poly", "integer_row", "Fraction", "_unit"}
+    assert not retired & named
 
 
 def test_single_variable_chain_power_only():

@@ -13,7 +13,11 @@ from apolar.complexes import (
     is_subcomplex,
     minimal_nonfaces,
 )
-from apolar.generators import contraction_image_classes
+from apolar.generators import (
+    contraction_image_classes,
+    extract_generators,
+    verify_generators,
+)
 from apolar.linalg import RationalMatrix
 from apolar.locus import degree_step_matrix, u_elimination_matrix
 from apolar.monomials import iter_exponents, lift_image, monomial_count
@@ -38,6 +42,7 @@ from apolar.rng import SplitMix64
 
 QUADRIC = graded_polynomial(2, {(2, 0): 1, (1, 1): 1})
 LINEAR = graded_polynomial(2, {(1, 0): 1, (0, 1): 1})
+TERNARY = graded_polynomial(3, {(1, 1, 0): 1, (0, 1, 1): 1})
 ZERO = GradedPolynomial(2, 2, {})
 
 CHECKS = {
@@ -53,6 +58,15 @@ CHECKS = {
     "minimal_nonfaces-degree-0": (
         lambda: minimal_nonfaces(complex_of(QUADRIC), 0),
         "degree must be at least 1",
+    ),
+    "verify_generators-fewer-variables": (
+        # would raise a bare KeyError from a basis index lookup
+        lambda: verify_generators(QUADRIC, extract_generators(TERNARY)),
+        "generator set has 3 variables, the form 2",
+    ),
+    "verify_generators-more-variables": (
+        lambda: verify_generators(TERNARY, extract_generators(QUADRIC)),
+        "generator set has 2 variables, the form 3",
     ),
     "contraction_image_classes-degree-0": (
         lambda: contraction_image_classes(QUADRIC, 0),
@@ -97,6 +111,19 @@ CHECKS = {
     ),
     "conjecture_sample_check-negative-trials": (
         lambda: conjecture_sample_check(2, 3, -1, 1),
+        "trials must be nonnegative",
+    ),
+    "conjecture_sample_check-d-0": (
+        # the reference's own check, not monomial_count's "degree must be ..."
+        lambda: conjecture_sample_check(2, 0, 1, 1),
+        "need n >= 2 and d >= 2",
+    ),
+    "conjecture_sample_check-n-0": (
+        lambda: conjecture_sample_check(0, 3, 1, 1),
+        "need n >= 2 and d >= 2",
+    ),
+    "coefficient_one_minimality_check-negative-trials": (
+        lambda: coefficient_one_minimality_check([(2, 0)], 2, -3, 1),
         "trials must be nonnegative",
     ),
     "coefficient_one_minimality_check-empty": (
@@ -154,6 +181,13 @@ def test_ann_degree_above_the_socle_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --degree must be in 1..2\n"
+
+
+@pytest.mark.parametrize("n, d", [(2, 0), (0, 3)])
+def test_conjecture_shape_error_names_the_shape_rule(capsys, n, d):
+    argv = ["conjecture", "--n", str(n), "--d", str(d)]
+    assert main([*argv, "--trials", "1", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "error: need n >= 2 and d >= 2\n"
 
 
 def test_format_polynomial_renders_zero_and_constants():

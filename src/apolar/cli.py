@@ -62,7 +62,7 @@ from .polynomials import (
     hilbert_vector,
     is_standard,
 )
-from .monomials import monomial_count
+from .monomials import unit_power
 
 
 def _emit(payload: dict) -> None:
@@ -115,11 +115,7 @@ def _cmd_generators(args) -> None:
     _emit(
         {
             "powers": [
-                format_monomial(
-                    tuple(e if t == k - 1 else 0 for t in range(f.num_vars)),
-                    args.uvars,
-                    operator=True,
-                )
+                format_monomial(unit_power(f.num_vars, k, e), args.uvars, operator=True)
                 for k, e in sorted(gens.powers)
             ],
             "nonface_monomials": {
@@ -187,22 +183,20 @@ def _cmd_cw(args) -> None:
     _emit(payload)
 
 
-def _component_rows(components):
-    for index, comp in enumerate(components):
-        yield {
+def _cmd_locus_enumerate(args) -> None:
+    components = enumerate_admissible_supports(
+        args.nvars, args.degree, max_basis=args.guard
+    )
+    rows = [
+        {
             "index": index,
             "support": [format_monomial(m) for m in comp.support],
             "derived_set": [format_monomial(m) for m in comp.derived_set],
             "dim_support": comp.dim_support,
             "dim_derived": comp.dim_derived,
         }
-
-
-def _cmd_locus_enumerate(args) -> None:
-    components = enumerate_admissible_supports(
-        args.nvars, args.degree, max_basis=args.guard
-    )
-    rows = list(_component_rows(components))
+        for index, comp in enumerate(components)
+    ]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(
@@ -251,7 +245,7 @@ def _cmd_locus_maps(args) -> None:
 
 def _cmd_perazzo_build(args) -> None:
     f = build_full_perazzo(args.n, args.d)
-    p = monomial_count(args.n, args.d - 1)
+    p = f.num_vars - args.n
     _emit(
         {
             "poly": format_polynomial(f, num_u_vars=args.n),

@@ -20,10 +20,13 @@ from .polynomials import GradedPolynomial
 
 @dataclass(frozen=True)
 class CellComplex:
-    """Divisor-closed set of monomials; cell dimension is degree minus one."""
+    """Divisor-closed frozenset of monomials; cell dimension is degree minus one."""
 
     num_vars: int
     cells: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", frozenset(self.cells))
 
 
 def facets(m: ExponentVector) -> list[ExponentVector]:

@@ -35,7 +35,8 @@ from typing import Mapping
 from .complexes import complex_of, minimal_nonfaces
 from .errors import DEFAULT_SUBSET_GUARD, check_guard
 from .linalg import Echelon, rank
-from .monomials import ExponentVector, basis_index, enumerate_exponents, monomial_count
+from .monomials import ExponentVector, basis_index, enumerate_exponents
+from .monomials import monomial_count, unit_power
 from .polynomials import GradedPolynomial, catalecticant_matrix
 
 _NO_TERMS: Mapping = MappingProxyType({})
@@ -47,7 +48,7 @@ class GeneratorSet:
 
     ``powers`` holds (variable index, exponent) pairs, 1-based; nonface
     monomials and difference pairs are grouped by degree, in read-only
-    copies of the mappings passed in.
+    copies of the mappings passed in, with frozenset and tuple values.
     """
 
     num_vars: int
@@ -57,8 +58,11 @@ class GeneratorSet:
     differences: Mapping
 
     def __post_init__(self):
-        for name in ("nonface_monomials", "differences"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        nf = {j: frozenset(m) for j, m in self.nonface_monomials.items()}
+        pairs = {j: tuple(map(tuple, p)) for j, p in self.differences.items()}
+        object.__setattr__(self, "powers", frozenset(self.powers))
+        object.__setattr__(self, "nonface_monomials", MappingProxyType(nf))
+        object.__setattr__(self, "differences", MappingProxyType(pairs))
 
     def polynomials(self) -> list[tuple[int, GradedPolynomial]]:
         """All generators as (degree, operator polynomial), deterministic order.
@@ -69,13 +73,8 @@ class GeneratorSet:
         polys = [_operator(n, {m: 1}) for j in sorted(nf) for m in sorted(nf[j])]
         for j in sorted(self.differences):
             polys += [_operator(n, p.terms, q.terms) for p, q in self.differences[j]]
-        polys += [_operator(n, _power(n, k, e)) for k, e in sorted(self.powers)]
+        polys += [_operator(n, {unit_power(n, *p): 1}) for p in sorted(self.powers)]
         return [(p.degree, p) for p in polys]
-
-
-def _power(n: int, k: int, e: int) -> dict[ExponentVector, int]:
-    """The term map of X_k^e, for a 1-based variable index k."""
-    return {tuple(e if t == k - 1 else 0 for t in range(n)): 1}
 
 
 def _operator(n: int, terms: Mapping, minus: Mapping = _NO_TERMS) -> GradedPolynomial:
@@ -241,7 +240,7 @@ def extract_generators(
     index, top_span = _ideal_span(kept, n, d + 1, full)
     powers = set()
     for k in range(1, n + 1):
-        power = _power(n, k, d + 1)
+        power = {unit_power(n, k, d + 1): 1}
         if len(top_span.pivots) < full and top_span.add(_vector(index, power)):
             powers.add((k, d + 1))
     return GeneratorSet(n, d, frozenset(powers), nonfaces, differences)

@@ -28,13 +28,14 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense rational matrix; ``entries``: row-major ints and Fractions."""
+    """Dense rational matrix; ``entries``: a row-major tuple of ints and Fractions."""
 
     rows: int
     cols: int
     entries: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:

@@ -53,6 +53,13 @@ def iter_exponents(n: int, d: int) -> Iterator[ExponentVector]:
             last -= 1
 
 
+def unit_power(n: int, k: int, e: int) -> ExponentVector:
+    """The exponent vector of x_k^e in ``n`` variables, for a 1-based ``k``."""
+    if not 1 <= k <= n:
+        raise ValueError(f"variable index {k} outside 1..{n}")
+    return (0,) * (k - 1) + (e,) + (0,) * (n - k)
+
+
 @lru_cache(maxsize=4096)
 def enumerate_exponents(n: int, d: int) -> tuple[ExponentVector, ...]:
     """Materialized (and cached) form of :func:`iter_exponents`."""

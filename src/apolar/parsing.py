@@ -116,10 +116,7 @@ def parse_polynomial(text: str, num_vars: int, num_u_vars: int = 0) -> GradedPol
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def format_monomial(

@@ -24,12 +24,13 @@ from typing import Optional
 
 from .errors import DEFAULT_MATRIX_GUARD, check_guard
 from .linalg import rank
-from .monomials import enumerate_exponents, monomial_count
+from .monomials import enumerate_exponents, monomial_count, unit_power
 from .parsing import format_monomial
 from .polynomials import (
     GradedPolynomial,
     HilbertOrder,
     catalecticant_matrix,
+    coefficient_one_poly,
     compare_hilbert,
     graded_polynomial,
     hilbert_vector,
@@ -48,10 +49,7 @@ def build_full_perazzo(n: int, d: int) -> GradedPolynomial:
         raise ValueError("need n >= 2 and d >= 2")
     monomials = enumerate_exponents(n, d - 1)
     p = len(monomials)
-    terms = {}
-    for i, m in enumerate(monomials):
-        x_part = tuple(1 if t == i else 0 for t in range(p))
-        terms[x_part + m] = 1
+    terms = {unit_power(p, i + 1, 1) + m: 1 for i, m in enumerate(monomials)}
     return graded_polynomial(p + n, terms)
 
 
@@ -250,7 +248,7 @@ def coefficient_one_minimality_check(
     support = sorted(tuple(m) for m in support)
     if not support:
         raise ValueError("empty support")
-    ones = graded_polynomial(num_vars, {m: 1 for m in support})
+    ones = coefficient_one_poly(num_vars, support)
     h_ones = hilbert_vector(ones)
     verdicts = []
     counterexamples = []

@@ -232,8 +232,6 @@ def hilbert_vector(f: GradedPolynomial) -> tuple[int, ...]:
 
 def is_standard(f: GradedPolynomial) -> bool:
     """True when no nonzero degree-1 operator annihilates ``f``."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
     return annihilator_dimension(f, 1) == 0
 
 

@@ -8,7 +8,7 @@ double-computed.
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 from apolar.monomials import enumerate_exponents
 
@@ -148,3 +148,10 @@ def lex_min_preimage(vec):
     :func:`lower_last` sends to ``vec``, by search over the whole degree."""
     higher = enumerate_exponents(len(vec), sum(vec) + 1)
     return min(up for up in higher if lower_last(up) == vec)
+
+
+def full_perazzo_reference(n, d):
+    """The closed form h_0 = h_d = 1, h_k = tau(n, k) + tau(n, d - k) for
+    0 < k < d, with tau(n, k) = C(n + k - 1, k)."""
+    tau = [comb(n + k - 1, k) for k in range(d + 1)]
+    return tuple(1 if k in (0, d) else tau[k] + tau[d - k] for k in range(d + 1))

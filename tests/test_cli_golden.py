@@ -102,6 +102,16 @@ GOLDEN = {
         ["generators", "--poly", P38, "--nvars", "3"],
         "90ec47dd6025519539d5855cbcf544917b9ca609f8fd6c844081d876dade5a15",
     ),
+    # recorded before the top powers were written by monomials.unit_power;
+    # one power in the x-block and one in the u-block
+    "generators-power-x": (
+        ["generators", "--poly", "x1^3", "--nvars", "2", "--uvars", "1"],
+        "8fbae8c08498678f480ecaacb353509a015abd6f071e70b11758d1f552ef365f",
+    ),
+    "generators-power-u": (
+        ["generators", "--poly", "u1^3", "--nvars", "2", "--uvars", "1"],
+        "c07fe3f7305374443739383c5a5950e9c1003d84b10ddb168063c98fa47a5ac6",
+    ),
     "locus-maps-3-4": (
         ["locus", "maps", "--n", "3", "--d", "4"],
         "d4836f242e442a9dd7a32e04e61e199ad3d263fccb2d3cc3f2de8cec526abaa0",

@@ -1,6 +1,7 @@
 import pytest
 
 from apolar.complexes import (
+    CellComplex,
     cell_count_vector,
     complex_of,
     divisor_closure,
@@ -33,6 +34,15 @@ def test_closure_is_divisor_closed():
     zeta = divisor_closure([(2, 1, 1), (0, 2, 2)], 3)
     for cell in zeta.cells:
         assert divisor_set(cell) <= zeta.cells
+
+
+def test_complex_keeps_a_copy_of_its_cells():
+    cells = {(1, 0), (0, 1)}
+    zeta = CellComplex(2, cells)
+    cells.add((2, 0))
+    assert zeta.cells == frozenset({(1, 0), (0, 1)})
+    assert skeleton_count(zeta, 1) == 2
+    assert hash(zeta) == hash(CellComplex(2, frozenset({(1, 0), (0, 1)})))
 
 
 def test_rejects_bad_supports():

@@ -120,6 +120,23 @@ def test_generator_set_is_immutable():
     assert built.nonface_monomials == {2: frozenset({(0, 2)})}
 
 
+def test_generator_set_keeps_copies_of_its_values():
+    # a set of powers, a set of nonfaces and a list of pairs, changed after
+    # construction through the caller's objects and through the fields
+    powers, nonfaces = {(1, 3)}, {(0, 2)}
+    pairs = [(monomial_poly(2, (2, 0)), monomial_poly(2, (1, 1)))]
+    gens = GeneratorSet(2, 2, powers, {2: nonfaces}, {2: pairs})
+    powers.add((2, 3))
+    nonfaces.add((2, 0))
+    pairs.clear()
+    with pytest.raises(AttributeError):
+        gens.nonface_monomials[2].add((2, 0))
+    assert gens.powers == frozenset({(1, 3)})
+    assert gens.nonface_monomials == {2: frozenset({(0, 2)})}
+    assert len(gens.differences[2]) == 1
+    assert verify_generators(_paper_quadric(), gens)
+
+
 def test_generator_degree_is_read_from_the_polynomial():
     # the dict keys only group the generators: a key that is not their degree
     # must not change the verdict of the published generating set

@@ -178,6 +178,15 @@ def test_entry_count_validation():
         RationalMatrix(2, 2, (Fraction(1),))
 
 
+def test_matrix_keeps_a_copy_of_its_entries():
+    entries = [1, 0, 0, 1]
+    m = RationalMatrix(2, 2, entries)
+    entries[3] = 0
+    assert m.entries == (1, 0, 0, 1)
+    assert rank(m) == 2
+    assert hash(m) == hash(RationalMatrix(2, 2, (1, 0, 0, 1)))
+
+
 # The canonical kernels pinned above, for the same matrices given with int
 # entries, with int and Fraction entries mixed, and with non-integral
 # entries (each row scaled by a nonzero rational).

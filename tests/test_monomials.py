@@ -10,6 +10,7 @@ from apolar.monomials import (
     iter_exponents,
     lift_image,
     monomial_count,
+    unit_power,
 )
 from oracles import lex_min_preimage, lower_at, lower_last
 
@@ -31,6 +32,15 @@ def test_recurrence_full_grid():
             assert monomial_count(n, d) == monomial_count(n - 1, d) + monomial_count(
                 n, d - 1
             )
+
+
+def test_unit_power():
+    assert unit_power(3, 1, 4) == (4, 0, 0)
+    assert unit_power(3, 3, 1) == (0, 0, 1)
+    assert unit_power(1, 1, 0) == (0,)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="variable index"):
+            unit_power(3, k, 2)
 
 
 def test_enumerate_small_cases():

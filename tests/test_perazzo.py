@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from apolar.polynomials import (
     is_standard,
 )
 from apolar.rng import SplitMix64, mix, substream
+
+from oracles import full_perazzo_reference
 
 
 def test_build_full_perazzo_2_3():
@@ -89,6 +92,20 @@ def test_full_perazzo_hilbert_shape():
         h = full_perazzo_hilbert(n, d)
         assert h[1] == n + monomial_count(n, d - 1)
         assert h == tuple(reversed(h))
+
+
+def test_full_perazzo_hilbert_matches_the_closed_form():
+    # a measured identity, not a theorem: the closed form agrees with the
+    # computed vector at every shape with n, d <= 11 the default guard allows
+    shapes = []
+    for n, d in itertools.product(range(2, 12), repeat=2):
+        try:
+            h = full_perazzo_hilbert(n, d)
+        except GuardExceeded:
+            continue
+        shapes.append((n, d))
+        assert h == full_perazzo_reference(n, d), (n, d)
+    assert len(shapes) == 23
 
 
 def test_census_full_perazzo_2_3():

@@ -155,3 +155,50 @@ def full_perazzo_reference(n, d):
     0 < k < d, with tau(n, k) = C(n + k - 1, k)."""
     tau = [comb(n + k - 1, k) for k in range(d + 1)]
     return tuple(1 if k in (0, d) else tau[k] + tau[d - k] for k in range(d + 1))
+
+
+def projection_images(n, d):
+    """The column images of the two projection maps between ambient Perazzo
+    spaces, evaluated vector by vector as their docstrings state them.
+
+    x-variable t is paired with the t-th degree-(d-1) u-monomial.  Returns
+    ``(u_elimination, degree_step)``; the second is None when d < 3.
+    """
+    pairing = enumerate_exponents(n, d - 1)
+    p = len(pairing)
+    divisible = [t for t in range(p) if pairing[t][-1] > 0]
+    source = enumerate_exponents(p + n, d)
+
+    # eliminate the last u-variable: a monomial dies when u_n divides it or
+    # one of its x-variables is paired with a monomial that u_n divides;
+    # a survivor drops those (zero) x-coordinates and its u_n coordinate
+    target = enumerate_exponents(p - len(divisible) + n - 1, d)
+    position = {vec: i for i, vec in enumerate(target)}
+    elimination = []
+    for vec in source:
+        x, u = vec[:p], vec[p:]
+        if u[-1] > 0 or any(x[t] > 0 for t in divisible):
+            elimination.append(None)
+            continue
+        kept = tuple(x[t] for t in range(p) if t not in divisible)
+        elimination.append(position[kept + u[:-1]])
+    if d < 3:
+        return tuple(elimination), None
+
+    # lower the degree: a monomial survives when it is one x-variable paired
+    # with a monomial that u_n divides, times a degree-(d-1) u-monomial that
+    # u_n divides; the x-variable is re-indexed by its rank among those paired
+    # with a u_n-divisible monomial, and the last u-exponent drops by one
+    target = enumerate_exponents(len(divisible) + n, d - 1)
+    position = {vec: i for i, vec in enumerate(target)}
+    step = []
+    for vec in source:
+        x, u = vec[:p], vec[p:]
+        t = x.index(1) if sum(x) == 1 else None  # the one x-variable, if any
+        if t not in divisible or u[-1] == 0:
+            step.append(None)
+            continue
+        new_x = [0] * len(divisible)
+        new_x[divisible.index(t)] = 1
+        step.append(position[tuple(new_x) + lower_last(u)])
+    return tuple(elimination), tuple(step)

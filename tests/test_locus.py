@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -16,7 +17,7 @@ from apolar.locus import (
 from apolar.monomials import basis_index, enumerate_exponents, monomial_count
 from apolar.perazzo import build_full_perazzo
 from apolar.polynomials import coefficient_one_poly, is_standard
-from oracles import lower_at
+from oracles import lower_at, projection_images
 
 
 def test_power_sum_support_is_admissible():
@@ -258,6 +259,31 @@ def test_u_elimination_whole_space_closed_form(n, d):
     assert elim["kernel_dim"] == (
         tau(tau(n, d - 1) + n, d) - tau(tau(n - 1, d - 1) + n - 1, d)
     )
+
+
+@pytest.mark.parametrize("n, d", WHOLE_SPACE)
+def test_map_images_match_the_literal_rules(n, d):
+    elimination, step = projection_images(n, d)
+    assert u_elimination_matrix(n, d).images == elimination
+    if d >= 3:
+        assert degree_step_matrix(n, d).images == step
+
+
+# SHA-256 of repr((u_elimination images, degree_step images)), recorded on the
+# per-coordinate loops that preceded the index getters
+IMAGE_DIGESTS = {
+    (2, 6): "5a0b8602f3b6b42b0571e7ee0b6fd9245c7d2e04e90343a78fd37f6dec29fc93",
+    (5, 3): "f7f8ddc980cbfee43dcac8fc75852329acf5811466640da9d6040292a4924a0c",
+    (2, 7): "1245fcb08d89ee38b807d2025e7443f66a77cde7cea72c790e114ac11fb96e76",
+    (4, 4): "4f98552bbef05f55eada58d4c024abf46d730ac8dead327471a94c6ecc3327fd",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(IMAGE_DIGESTS))
+def test_map_images_digest(shape):
+    images = (u_elimination_matrix(*shape).images, degree_step_matrix(*shape).images)
+    digest = hashlib.sha256(repr(images).encode()).hexdigest()
+    assert digest == IMAGE_DIGESTS[shape]
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,11 @@ class GeneratorSet:
         object.__setattr__(self, "nonface_monomials", MappingProxyType(nf))
         object.__setattr__(self, "differences", MappingProxyType(pairs))
 
+    def __hash__(self):
+        nf = frozenset(self.nonface_monomials.items())
+        pairs = frozenset(self.differences.items())
+        return hash((self.num_vars, self.socle_degree, self.powers, nf, pairs))
+
     def polynomials(self) -> list[tuple[int, GradedPolynomial]]:
         """All generators as (degree, operator polynomial), deterministic order.
 

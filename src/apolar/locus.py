@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from functools import reduce
 from itertools import accumulate
-from operator import or_
+from operator import itemgetter, or_
 
 from .errors import DEFAULT_ENUMERATION_GUARD, DEFAULT_MATRIX_GUARD, check_guard
 from .monomials import (
@@ -64,6 +64,10 @@ class ComponentDescriptor:
     derived_set: tuple
     dim_support: int
     dim_derived: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", tuple(self.support))
+        object.__setattr__(self, "derived_set", tuple(self.derived_set))
 
 
 def _derivative_table(support, num_vars: int) -> tuple[dict, list[int]]:
@@ -151,6 +155,9 @@ class ProjectionMap:
     rows: int
     images: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))
+
     @property
     def cols(self) -> int:
         return len(self.images)
@@ -167,9 +174,10 @@ def u_elimination_matrix(
     Target: degree-d monomials in tau(n-1, d-1) x-variables plus n-1
     u-variables.  A monomial dies when the last u-variable divides it or when
     one of its x-variables is paired with a u-monomial divisible by the last
-    u-variable; surviving monomials drop the killed coordinates (all zero on
-    survivors, removed in descending index order).  Bases are lex ascending;
-    a dying monomial has image None, and the rank is the distinct-image count.
+    u-variable.  ``dead`` reads those coordinates and ``keep`` every other one
+    in order, so a survivor's image is its kept coordinates (the killed ones
+    are all zero on it).  Bases are lex ascending; a dying monomial has image
+    None, and the rank is the distinct-image count.
     """
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
@@ -177,20 +185,18 @@ def u_elimination_matrix(
     p_target = monomial_count(n - 1, d - 1)
     size = monomial_count(p + n, d)  # the source basis is the larger one
     check_guard("matrix dimension", size, max_dim, "--max-dim / max_dim")
-    killed_x = frozenset(
-        t for t, m in enumerate(enumerate_exponents(n, d - 1)) if m[-1]
-    )
-    source = enumerate_exponents(p + n, d)
+    killed = [t for t, m in enumerate(enumerate_exponents(n, d - 1)) if m[-1]]
+    # n >= 2 and d >= 2 give each getter at least 2 indices, hence a tuple:
+    # dead has x_1 (paired with u_n^(d-1)) and u_n, keep has p_target >= 1
+    # x-positions and u_1
+    dead = itemgetter(*killed, p + n - 1)
+    keep = itemgetter(*(t for t in range(p + n - 1) if t not in killed))
     target_index = basis_index(p_target + (n - 1), d)
-    images: list[int | None] = []
-    for vec in source:
-        x_part, u_part = vec[:p], vec[p:]
-        if u_part[n - 1] >= 1 or any(x_part[t] > 0 for t in killed_x):
-            images.append(None)
-            continue
-        reduced_x = tuple(e for t, e in enumerate(x_part) if t not in killed_x)
-        images.append(target_index[reduced_x + u_part[: n - 1]])
-    return ProjectionMap(len(target_index), tuple(images))
+    images = tuple(
+        None if any(dead(vec)) else target_index[keep(vec)]
+        for vec in enumerate_exponents(p + n, d)
+    )
+    return ProjectionMap(len(target_index), images)
 
 
 def degree_step_matrix(
@@ -206,10 +212,11 @@ def degree_step_matrix(
     paired u-monomial lies in the lift image (is divisible by the last
     u-variable) times a u-monomial of degree d-1 that lies in the lift image
     too; the full exponent vector then lies in the lift image as well.  The
-    image lowers the last u-exponent.  Surviving x-positions are re-indexed
-    by their rank among the eligible positions, which is what makes the
-    x-block of the target well defined.  Bases are lex ascending; a dying
-    monomial has image None, and the rank is the distinct-image count.
+    image lowers the last u-exponent.  ``eligible`` reads the x-positions
+    paired with a lift-image monomial, in order, so a survivor's x-variable
+    is re-indexed by its rank among them, which is what makes the x-block of
+    the target well defined.  Bases are lex ascending; a dying monomial has
+    image None, and the rank is the distinct-image count.
     """
     if n < 2 or d < 3:
         raise ValueError("need n >= 2 and d >= 3")
@@ -217,21 +224,20 @@ def degree_step_matrix(
     p_target = monomial_count(n, d - 2)
     size = monomial_count(p + n, d)  # the source basis is the larger one
     check_guard("matrix dimension", size, max_dim, "--max-dim / max_dim")
-    eligible = tuple(t for t, m in enumerate(enumerate_exponents(n, d - 1)) if m[-1])
+    # p_target = tau(n, d-2) >= n >= 2 indices, so the getter returns a tuple
+    eligible = itemgetter(
+        *(t for t, m in enumerate(enumerate_exponents(n, d - 1)) if m[-1])
+    )
     u_image = lift_image(n, d - 1)
-    source = enumerate_exponents(p + n, d)
     target_index = basis_index(p_target + n, d - 1)
-    images: list[int | None] = []
-    for vec in source:
-        x_part, u_part = vec[:p], vec[p:]
-        if u_part not in u_image:
-            images.append(None)
-            continue
-        # u-degree d-1 leaves one x-variable; it survives at an eligible position
-        new_x = tuple(x_part[t] for t in eligible)
-        lowered = u_part[:-1] + (u_part[-1] - 1,)  # u_part ends in a positive exponent
-        images.append(target_index[new_x + lowered] if any(new_x) else None)
-    return ProjectionMap(len(target_index), tuple(images))
+    # u-degree d-1 leaves one x-variable, and u ends in a positive exponent
+    images = tuple(
+        target_index[new_x + u[:-1] + (u[-1] - 1,)]
+        if (u := vec[p:]) in u_image and any(new_x := eligible(vec))
+        else None
+        for vec in enumerate_exponents(p + n, d)
+    )
+    return ProjectionMap(len(target_index), images)
 
 
 def _map_report(projection: ProjectionMap, formula_value: int) -> dict:

@@ -137,6 +137,15 @@ def test_generator_set_keeps_copies_of_its_values():
     assert verify_generators(_paper_quadric(), gens)
 
 
+def test_generator_sets_of_one_form_are_equal_and_hash_alike():
+    f = parse_polynomial("x1^2 + x1*x2", 2)
+    first, second = extract_generators(f), extract_generators(f)
+    assert first is not second
+    assert first == second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+
+
 def test_generator_degree_is_read_from_the_polynomial():
     # the dict keys only group the generators: a key that is not their degree
     # must not change the verdict of the published generating set

@@ -7,6 +7,8 @@ from apolar.cli import main
 from apolar.errors import GuardExceeded
 from apolar.linalg import RationalMatrix, rank
 from apolar.locus import (
+    ComponentDescriptor,
+    ProjectionMap,
     SupportConditions,
     degree_step_matrix,
     enumerate_admissible_supports,
@@ -169,6 +171,27 @@ def test_full_perazzo_support_is_admissible_at_2_2():
     match = next(c for c in comps if c.support == tuple(sorted(f.support())))
     # the full Perazzo locus has dimension tau(n, d-1) - 1
     assert match.dim_support == monomial_count(2, 1) - 1
+
+
+def test_component_keeps_a_copy_of_its_support():
+    support, derived = [(2, 0), (0, 2)], [(1, 0), (0, 1)]
+    comp = ComponentDescriptor(support, derived, 1, 1)
+    support.append((1, 1))
+    derived.clear()
+    assert comp.support == ((2, 0), (0, 2))
+    assert comp.derived_set == ((1, 0), (0, 1))
+    assert hash(comp) == hash(
+        ComponentDescriptor(((2, 0), (0, 2)), ((1, 0), (0, 1)), 1, 1)
+    )
+
+
+def test_projection_map_keeps_a_copy_of_its_images():
+    images = [0, None, 1]
+    m = ProjectionMap(2, images)
+    images.append(5)
+    assert m.images == (0, None, 1)
+    assert m.cols == 3
+    assert hash(m) == hash(ProjectionMap(2, (0, None, 1)))
 
 
 def _distinct_images(m):
@@ -375,3 +398,20 @@ def test_locus_maps_refuses_large_n_before_enumerating(monkeypatch, capsys):
     assert main(["locus", "maps", "--n", "4", "--d", "5"]) == 2
     err = capsys.readouterr().err
     assert "962598" in err and "20000" in err and "--max-dim" in err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "csv"]])
+def test_enumerate_names_each_catalog_monomial_once(fmt, monkeypatch, capsys):
+    from apolar import cli
+
+    named, name = [], cli.format_monomial
+
+    def counting(m, *args):
+        named.append(m)
+        return name(m, *args)
+
+    monkeypatch.setattr(cli, "format_monomial", counting)
+    assert main(["locus", "enumerate", "--nvars", "3", "--degree", "4", *fmt]) == 0
+    assert capsys.readouterr().out
+    # 15 degree-4 support monomials and 10 degree-3 derived ones, once each
+    assert len(named) == len(set(named)) == 25

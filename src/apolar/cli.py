@@ -187,7 +187,6 @@ def _cmd_locus_enumerate(args) -> None:
     components = enumerate_admissible_supports(
         args.nvars, args.degree, max_basis=args.guard
     )
-    # each distinct monomial is named once; the components share most of them
     distinct = {m for comp in components for m in comp.support + comp.derived_set}
     names = {m: format_monomial(m) for m in distinct}
     rows = [

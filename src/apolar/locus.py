@@ -175,9 +175,10 @@ def u_elimination_matrix(
     u-variables.  A monomial dies when the last u-variable divides it or when
     one of its x-variables is paired with a u-monomial divisible by the last
     u-variable.  ``dead`` reads those coordinates and ``keep`` every other one
-    in order, so a survivor's image is its kept coordinates (the killed ones
-    are all zero on it).  Bases are lex ascending; a dying monomial has image
-    None, and the rank is the distinct-image count.
+    in order, so a survivor maps to the target monomial of its kept
+    coordinates (the killed ones are all zero on it).  Bases are lex
+    ascending; a dying monomial has image None, and the rank is the
+    distinct-image count.
     """
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
@@ -186,9 +187,8 @@ def u_elimination_matrix(
     size = monomial_count(p + n, d)  # the source basis is the larger one
     check_guard("matrix dimension", size, max_dim, "--max-dim / max_dim")
     killed = [t for t, m in enumerate(enumerate_exponents(n, d - 1)) if m[-1]]
-    # n >= 2 and d >= 2 give each getter at least 2 indices, hence a tuple:
-    # dead has x_1 (paired with u_n^(d-1)) and u_n, keep has p_target >= 1
-    # x-positions and u_1
+    # n, d >= 2 give each getter 2+ indices, so it returns a tuple: dead has
+    # x_1 (paired with u_n^(d-1)) and u_n, keep has u_1 and p_target >= 1 x's
     dead = itemgetter(*killed, p + n - 1)
     keep = itemgetter(*(t for t in range(p + n - 1) if t not in killed))
     target_index = basis_index(p_target + (n - 1), d)

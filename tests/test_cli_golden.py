@@ -221,6 +221,19 @@ GOLDEN = {
         CONJECTURE + ["--jobs", "2"],
         "e12aed43f8612bed6cadaa78b887ab7b3f91f7e5f51e818078ee3c408f565ab1",
     ),
+    # recorded while every draw's C_j was still ranked to its full rank
+    "conjecture-2-4-300": (
+        ["conjecture", "--n", "2", "--d", "4", "--trials", "300", "--seed", "77"],
+        "ea7e6894d0dbd2fa86f380d2e5de63b07ee065b4b54c718414df39da03b66a4e",
+    ),
+    "conjecture-2-5": (
+        ["conjecture", "--n", "2", "--d", "5", "--trials", "20", "--seed", "2605"],
+        "ec9b14fca36a914e0f34210c3d0eb1822afabc31e803640e1c1b89c0103fa057",
+    ),
+    "conjecture-3-4": (
+        ["conjecture", "--n", "3", "--d", "4", "--trials", "8", "--seed", "2634"],
+        "b6cf2bf4a325d20ec5986a43dd52e4526de073de7eba435a56ff60925594c554",
+    ),
 }
 
 

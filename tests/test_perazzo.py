@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -196,6 +197,26 @@ def test_minimality_check_full_perazzo_support():
 def test_minimality_check_single_monomial_always_equal():
     report = coefficient_one_minimality_check([(2, 1)], 2, trials=10, seed=13)
     assert report["verdicts"] == ["EQUAL"] * 10
+
+
+def test_criterion_8_reports_match_their_digest():
+    # the 20 reports of tests/test_acceptance.py's criterion 8 (seed 52003),
+    # recorded while every draw's C_j was still ranked to its full rank
+    from sampling import random_coefficient_one_standard
+
+    dims = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
+    reports = []
+    for t in range(20):
+        n, d = dims[t % len(dims)]
+        f = random_coefficient_one_standard(substream(52003, t), n, d)
+        reports.append(
+            coefficient_one_minimality_check(f.support(), n, trials=20, seed=53003 + t)
+        )
+    text = json.dumps(reports, sort_keys=True)
+    assert sum(len(r["counterexamples"]) for r in reports) == 1
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "39ee36ae57a633bd9304afcd747ddf8881c24ca3124f2a718df21f674a73aa1c"
+    )
 
 
 DRAW_SEED = 4242

@@ -7,11 +7,12 @@ of its denominators, the one place a rational row becomes integral; rows of
 every caller: it is Bareiss elimination (Math. Comp. 22, 1968) with rows
 taken one at a time in arrival order, so entries stay minors of the input.
 ``rank`` stops at min(rows, cols) pivots of the longer side's lines, past
-which every line is in the span; ``kernel_basis`` finishes the echelon into
-the Gauss-Jordan form, divided once at the end, and the generator spans in
-``generators`` are echelons of operator vectors over a monomial basis, all
-``int`` from extraction.  The reduced row echelon form is unique, so
-identical inputs give identical outputs.
+which every line is in the span, or earlier at a caller's cap;
+``kernel_basis`` finishes the echelon into the Gauss-Jordan form, divided
+once at the end, and the generator spans in ``generators`` are echelons of
+operator vectors over a monomial basis, all ``int`` from extraction.  The
+reduced row echelon form is unique, so identical inputs give identical
+outputs.
 """
 
 from __future__ import annotations
@@ -99,14 +100,19 @@ class Echelon:
         return True
 
 
-def rank(m: RationalMatrix) -> int:
+def rank(m: RationalMatrix, at_most: int | None = None) -> int:
     """Rank over the rationals, computed exactly: the echelon of the lines of
-    the longer side, stopped once the pivot count reaches min(rows, cols)."""
+    the longer side, stopped once the pivot count reaches min(rows, cols), or
+    the nonnegative cap ``at_most`` when it is smaller.  A capped rank is
+    min(rank, at_most), still exact: the pivots found are independent."""
+    stop = min(m.rows, m.cols) if at_most is None else min(m.rows, m.cols, at_most)
+    if stop < 0:
+        raise ValueError(f"rank cap must be nonnegative, got {at_most}")
     tall = m.rows >= m.cols
     lines = map(m.row, range(m.rows)) if tall else map(m.column, range(m.cols))
     span = Echelon()
     for line in lines:
-        if len(span.pivots) == min(m.rows, m.cols):
+        if len(span.pivots) == stop:
             break
         span.add(line)
     return len(span.pivots)

@@ -161,7 +161,8 @@ def _conjecture_trial(args) -> dict:
     f = _standard_draw(seed, trial, basis, num_vars)
     if f is None:
         return {"trial": trial, "verdict": "SKIPPED"}
-    h = hilbert_vector(f)
+    # capped one past the reference: the verdict and a violator's vector stay exact
+    h = hilbert_vector(f, [r + 1 for r in reference])
     verdict = compare_hilbert(h, reference)
     out = {"trial": trial, "verdict": verdict.value}
     if verdict is HilbertOrder.LESS_EQ:
@@ -250,12 +251,13 @@ def coefficient_one_minimality_check(
         raise ValueError("empty support")
     ones = coefficient_one_poly(num_vars, support)
     h_ones = hilbert_vector(ones)
+    caps = [h + 1 for h in h_ones]
     verdicts = []
     counterexamples = []
     for trial in range(trials):
         rng = substream(seed, trial)
         terms = {m: rng.nonzero_int(9) for m in support}
-        h_random = hilbert_vector(GradedPolynomial(num_vars, ones.degree, terms))
+        h_random = hilbert_vector(GradedPolynomial(num_vars, ones.degree, terms), caps)
         verdict = compare_hilbert(h_ones, h_random)
         verdicts.append(verdict.value)
         if verdict is HilbertOrder.GREATER_EQ:

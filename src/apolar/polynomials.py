@@ -219,15 +219,20 @@ def annihilator_basis(f: GradedPolynomial, j: int) -> list[GradedPolynomial]:
     return out
 
 
-def hilbert_vector(f: GradedPolynomial) -> tuple[int, ...]:
+def hilbert_vector(f: GradedPolynomial, at_most=None) -> tuple[int, ...]:
     """Dimensions of the graded quotient algebra, degree by degree.
 
     Entry j is the rank of its own catalecticant C_j; the symmetry of the
     result is a theorem, not an assumption, and the test suite checks it.
+    ``at_most``, one cap per degree, stops each rank early: entry j is then
+    min(h_j, cap_j), exact, which compares with any c_j < cap_j as h_j does.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    return tuple(rank(catalecticant_matrix(f, j)) for j in range(f.degree + 1))
+    caps = (None,) * (f.degree + 1) if at_most is None else tuple(at_most)
+    if len(caps) != f.degree + 1:
+        raise ValueError(f"need {f.degree + 1} rank caps, got {len(caps)}")
+    return tuple(rank(catalecticant_matrix(f, j), cap) for j, cap in enumerate(caps))
 
 
 def is_standard(f: GradedPolynomial) -> bool:

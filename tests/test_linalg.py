@@ -84,6 +84,52 @@ def test_rank_stops_after_the_shorter_side_on_full_rank(monkeypatch, transpose):
     assert calls == [3, 3, 3]
 
 
+# tall, wide and rank-deficient matrices, each also transposed
+_CAP_CASES = {
+    **_EARLY_STOP_CASES,
+    "tall_rank_deficient": [[1, 2, 0], [2, 4, 0], [0, 0, 0], [3, 6, 0], [1, 2, 0]],
+    "wide_full_rank": [[1, 0, 2, 0, Fraction(1, 3)], [0, 1, 0, 5, 1], [2, 2, 1, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CAP_CASES))
+def test_capped_rank_is_the_smaller_of_rank_and_cap(case):
+    data = _CAP_CASES[case]
+    for lines in (data, [list(col) for col in zip(*data)]):
+        m = _from_rows(lines)
+        # from 0 to two past min(rows, cols), where the cap cannot bite
+        for at_most in range(min(m.rows, m.cols) + 3):
+            assert rank(m, at_most) == min(row_reduce_rank(lines), at_most)
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (4, 0)])
+def test_capped_rank_of_empty_matrices(rows, cols):
+    for at_most in (0, 1, 5):
+        assert rank(RationalMatrix(rows, cols, ()), at_most) == 0
+
+
+def test_capped_rank_stops_at_the_cap(monkeypatch):
+    calls = []
+    add = Echelon.add
+
+    def counting_add(self, row):
+        calls.append(len(row))
+        return add(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counting_add)
+    m = _from_rows([[int(i == j) + i * j for j in range(6)] for i in range(6)])
+    assert rank(m) == 6
+    for at_most in range(7):
+        calls.clear()
+        assert rank(m, at_most) == at_most
+        assert len(calls) == at_most
+
+
+def test_rank_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match="rank cap must be nonnegative, got -1"):
+        rank(_from_rows([[1, 0], [0, 1]]), -1)
+
+
 def test_kernel_identity_empty():
     m = _from_rows([[1, 0], [0, 1]])
     assert kernel_basis(m) == []
@@ -266,6 +312,14 @@ def test_rank_agrees_with_the_oracle(data):
     m = RationalMatrix(len(data), cols, tuple(x for row in data for x in row))
     assert rank(m) == row_reduce_rank(data)
     assert rank(m) + len(kernel_basis(m)) == cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(), st.integers(0, 8))
+def test_capped_rank_agrees_with_the_oracle(data, at_most):
+    cols = len(data[0]) if data else 0
+    m = RationalMatrix(len(data), cols, tuple(x for row in data for x in row))
+    assert rank(m, at_most) == min(row_reduce_rank(data), at_most)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,11 @@ from apolar.perazzo import (
     worker_count,
 )
 from apolar.polynomials import (
+    HilbertOrder,
     annihilator_basis,
     catalecticant_matrix,
     coefficient_one_poly,
+    compare_hilbert,
     differentiation_form,
     graded_polynomial,
     hilbert_vector,
@@ -359,6 +362,109 @@ def test_conjecture_report_lists_every_violator(monkeypatch):
         assert violator == {"trial": t, **result["violator"]}
     assert report["tallies"]["LESS_EQ"] == 5
     assert report["skipped_trials"] == 0
+
+
+def _spy_hilbert_vectors(monkeypatch):
+    """Record (form, caps, vector) for every Hilbert vector the harness takes."""
+    seen = []
+
+    def spy(f, at_most=None):
+        seen.append((f, at_most, hilbert_vector(f, at_most)))
+        return seen[-1][2]
+
+    monkeypatch.setattr("apolar.perazzo.hilbert_vector", spy)
+    return seen
+
+
+def _check_capped_vectors(seen):
+    """Each capped vector is min(h_j, cap_j) of the exact one; returns how
+    many vectors a cap changed."""
+    bitten = 0
+    for f, caps, h in seen:
+        exact = hilbert_vector(f)
+        assert h == (exact if caps is None else tuple(map(min, exact, caps)))
+        bitten += h != exact
+    return bitten
+
+
+# every (2,4) draw below has the vector (1,6,21,6,1); against these references
+# the draws are LESS_EQ, EQUAL, GREATER_EQ (the real reference) and
+# INCOMPARABLE, and the caps r_j + 1 bite on C_2 in the last two
+PATCHED_REFERENCES = {
+    "LESS_EQ": (ABOVE_EVERY_DRAW, False),
+    "EQUAL": ((1, 6, 21, 6, 1), False),
+    "GREATER_EQ": ((1, 6, 6, 6, 1), True),
+    "INCOMPARABLE": ((1, 6, 6, 6, 2), True),
+}
+
+
+@pytest.mark.parametrize("verdict", sorted(PATCHED_REFERENCES))
+def test_capped_verdicts_match_the_uncapped_comparison(verdict, monkeypatch):
+    reference, bites = PATCHED_REFERENCES[verdict]
+    monkeypatch.setattr(
+        "apolar.perazzo.full_perazzo_hilbert", lambda n, d, max_dim: reference
+    )
+    seen = _spy_hilbert_vectors(monkeypatch)
+    trials = 6
+    report = conjecture_sample_check(2, 4, trials, seed=DRAW_SEED)
+    assert [caps for _, caps, _ in seen] == [[r + 1 for r in reference]] * trials
+    assert (_check_capped_vectors(seen) == trials) is bites
+    num_vars, basis = _draw_space(2, 4)
+    tallies = dict.fromkeys(report["tallies"], 0)
+    violators = []
+    for t in range(trials):
+        f = _standard_draw(DRAW_SEED, t, basis, num_vars)
+        exact = compare_hilbert(hilbert_vector(f), reference)
+        tallies[exact.value] += 1
+        if exact is HilbertOrder.LESS_EQ:
+            violators.append({"trial": t, **_dominated_draw(hilbert_vector(f), f.terms)})
+    assert tallies[verdict] == trials
+    assert report["tallies"] == tallies
+    assert report["violators"] == violators
+
+
+def test_minimality_check_caps_each_draw_past_the_coefficient_one_vector(monkeypatch):
+    # every ternary quadric with coefficient one has C_1 of rank 1, while a
+    # random draw's has rank 3: the cap h_1 + 1 = 2 bites
+    support = enumerate_exponents(3, 2)
+    seen = _spy_hilbert_vectors(monkeypatch)
+    report = coefficient_one_minimality_check(support, 3, trials=10, seed=DRAW_SEED)
+    assert report["hilbert_ones"] == [1, 1, 1]
+    ones, draws = seen[0], seen[1:]
+    assert ones[1] is None and [caps for _, caps, _ in draws] == [[2, 2, 2]] * 10
+    assert _check_capped_vectors(draws) > 0
+    verdicts = [compare_hilbert((1, 1, 1), hilbert_vector(f)).value for f, _, _ in draws]
+    assert report["verdicts"] == verdicts
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("n,d,trials", [(2, 3, 20), (2, 4, 12), (2, 5, 3)])
+def test_conjecture_takes_one_vector_per_report_entry_and_one_rank_per_degree(
+    n, d, trials, monkeypatch
+):
+    # the counting rule of the benchmark's trace check: one hilbert_vector
+    # call per reported vector (the reference and each completed trial), one
+    # rank per entry of it, and one more rank per is_standard call
+    import apolar.linalg
+    import apolar.polynomials
+
+    calls = Counter()
+    for module in (apolar.linalg, apolar.polynomials, apolar.perazzo):
+        for name in ("rank", "hilbert_vector", "is_standard"):
+            original = getattr(module, name, None)
+            if original is not None:
+                monkeypatch.setattr(module, name, _counting(calls, name, original))
+    report = conjecture_sample_check(n, d, trials, seed=DRAW_SEED)
+    vectors = 1 + report["trials"] - report["skipped_trials"]
+    assert calls["hilbert_vector"] == vectors
+    assert calls["rank"] == (d + 1) * vectors + calls["is_standard"]
 
 
 def test_conjecture_report_counts_skipped_trials(monkeypatch):

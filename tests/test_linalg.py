@@ -102,12 +102,6 @@ def test_capped_rank_is_the_smaller_of_rank_and_cap(case):
             assert rank(m, at_most) == min(row_reduce_rank(lines), at_most)
 
 
-@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (4, 0)])
-def test_capped_rank_of_empty_matrices(rows, cols):
-    for at_most in (0, 1, 5):
-        assert rank(RationalMatrix(rows, cols, ()), at_most) == 0
-
-
 def test_capped_rank_stops_at_the_cap(monkeypatch):
     calls = []
     add = Echelon.add

@@ -414,10 +414,11 @@ def test_capped_verdicts_match_the_uncapped_comparison(verdict, monkeypatch):
     violators = []
     for t in range(trials):
         f = _standard_draw(DRAW_SEED, t, basis, num_vars)
-        exact = compare_hilbert(hilbert_vector(f), reference)
+        h = hilbert_vector(f)
+        exact = compare_hilbert(h, reference)
         tallies[exact.value] += 1
         if exact is HilbertOrder.LESS_EQ:
-            violators.append({"trial": t, **_dominated_draw(hilbert_vector(f), f.terms)})
+            violators.append({"trial": t, **_dominated_draw(h, f.terms)})
     assert tallies[verdict] == trials
     assert report["tallies"] == tallies
     assert report["violators"] == violators
@@ -453,6 +454,7 @@ def test_conjecture_takes_one_vector_per_report_entry_and_one_rank_per_degree(
     # call per reported vector (the reference and each completed trial), one
     # rank per entry of it, and one more rank per is_standard call
     import apolar.linalg
+    import apolar.perazzo
     import apolar.polynomials
 
     calls = Counter()

@@ -243,3 +243,66 @@ def test_cli_stdout_matches_golden_digest(name, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# help texts and usage errors at COLUMNS=80, recorded before the process-pool
+# import moved into the pool's branch (argparse's gettext lookup imports
+# ``locale``, which the pool import used to load first)
+HELP = {
+    (): "66d6df71a97072f62d4d19e0fc5f24b4ea291a713c7a56aa659116f40d8b127f",
+    ("hilbert",): "a40e5f79e827cf50ef0fbddd4eabb512e93f14c6f41d8063056a7387a889144f",
+    ("ann",): "afc226e3b9a5f7f531f7d0dd30eab9d64abfb25d90995e003dbfa62a3fbef984",
+    ("generators",): "9dc15cb9aea92c4638ec2c3f4ee17c1724ce9fe88656d8517bbb38a833b3b40d",
+    ("cw",): "fb82350ec420e6fe56f35a14b0653c7e92b7c46983127a9e8953498162016c29",
+    ("locus",): "1578224d5b94bda48f6797e055b6c257648472ad103754d5d8e9a202689c64a9",
+    ("locus", "enumerate"): "a30694ae0a3d6aa7276f8070989d74ab0d127daced5ec55aa9fa9cddabe3aa06",
+    ("locus", "stcheck"): "1fcde3509c1512c66d36bcc86ae6fa926534876d6a890d3f9b64b857d21abd8c",
+    ("locus", "maps"): "0dd24bff840a48a6cd5428222408548c15783e3b717ec1befbc11ad4b1c19b78",
+    ("perazzo",): "f526b30ed60c3e9d2e78b0ab59da2aeac6b7c50937270b343c46aeb45f795349",
+    ("perazzo", "build"): "3474d02b27e913ed4e4f73937a11fc87736f456449be3a4bcb4000e3499aacd2",
+    ("perazzo", "hilbert"): "2c42b1f5b60968cd25038e3df382664446f0b4cb7ac3863b5241c5b5a479aea5",
+    ("perazzo", "census"): "8a22287a11718c1518e003308821c7beb0fc7a4986b782ba4e56faf03847e997",
+    ("conjecture",): "7ee91c9510b5dcd8fdb2376abbaf488741f1c86bb32232c323bafd576988a01c",
+}
+USAGE_ERRORS = {
+    "missing-option": (
+        ["hilbert", "--nvars", "2"],
+        1,
+        "3d1579f3f77cf8d34b367d3e66b467bb0483813757075e119d4e2b73d60f5e47",
+    ),
+    "invalid-command": (
+        ["frobnicate"],
+        1,
+        "4fd6312e6c5066d5a6d3e986c3a6e51c3c449b371c7eacb5c964172a4c4d3bba",
+    ),
+    "non-integer-n": (
+        ["locus", "maps", "--n", "x", "--d", "3"],
+        1,
+        "5f681ba35c5198ea14a769a6c969108dd9fe599d5f65dfef6c9b251eda1bf317",
+    ),
+    "jobs-0": (
+        ["conjecture", "--n", "2", "--d", "4", "--trials", "2", "--seed", "1",
+         "--jobs", "0"],
+        1,
+        "0ac6e905b14458c191ef1bbce5498351ac6bb1afe316499e7b8c04c272884438",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP), ids=lambda c: " ".join(c) or "top")
+def test_cli_help_matches_golden_digest(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*command, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == HELP[command]
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_cli_usage_error_matches_golden_digest(name, capsys, monkeypatch):
+    argv, code, digest = USAGE_ERRORS[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == digest

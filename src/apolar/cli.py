@@ -5,7 +5,10 @@ Every subcommand prints a single JSON document with a top-level
 byte-identical for identical inputs (and, for the sampling commands,
 identical seeds); ``cw --export dot`` and ``locus enumerate --format csv``
 print DOT and CSV instead.  Rationals print as ``p/q`` strings; there is no
-decimal output anywhere.
+decimal output anywhere.  The document is written by :func:`_json`, which
+gives the bytes of ``json.dumps(value, indent=2, sort_keys=True)`` for dicts
+with ``str`` keys, lists, ``str``, ``int``, ``bool`` and ``None``, and raises
+``TypeError`` on any other type.
 
 Exit codes, all decided by :func:`main`: 0 success (also after ``--help``),
 1 usage or input error, 2 resource guard violation.
@@ -21,8 +24,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
+import locale  # noqa: F401 -- argparse's gettext needs it at the first parser build
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .complexes import (
     cell_count_vector,
@@ -65,8 +69,38 @@ from .polynomials import (
 from .monomials import unit_power
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``value`` as :func:`_emit` writes it, after the newline and indent ``indent``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        items, brackets = [_json(item, inner) for item in value], "[]"
+    elif isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"cannot emit a key of type {type(key).__name__}")
+        items = [f"{_json(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        brackets = "{}"
+    else:
+        raise TypeError(f"cannot emit a value of type {type(value).__name__}")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps({"schema_version": 1, **payload}, indent=2, sort_keys=True))
+    """Print ``payload`` and ``schema_version`` 1 in the bytes of ``json.dumps(...,
+    indent=2, sort_keys=True)``, through the stdlib's C string escape; any type but
+    a ``str``-keyed dict, a list, ``str``, ``int``, ``bool`` or ``None`` raises
+    ``TypeError``."""
+    print(_json({"schema_version": 1, **payload}))
 
 
 def _parse_poly_args(args):

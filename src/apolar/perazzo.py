@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -199,6 +198,9 @@ def conjecture_sample_check(
     num_vars = n + monomial_count(n, d - 1)
     work = [(seed, t, num_vars, d, reference) for t in range(trials)]
     if workers > 1:
+        # imported here: the pool's modules are a fifth of a serial command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_conjecture_trial, work, chunksize=16))
     else:

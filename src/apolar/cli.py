@@ -5,10 +5,9 @@ Every subcommand prints a single JSON document with a top-level
 byte-identical for identical inputs (and, for the sampling commands,
 identical seeds); ``cw --export dot`` and ``locus enumerate --format csv``
 print DOT and CSV instead.  Rationals print as ``p/q`` strings; there is no
-decimal output anywhere.  The document is written by :func:`_json`, which
-gives the bytes of ``json.dumps(value, indent=2, sort_keys=True)`` for dicts
-with ``str`` keys, lists, ``str``, ``int``, ``bool`` and ``None``, and raises
-``TypeError`` on any other type.
+decimal output anywhere.  The JSON bytes are those of ``json.dumps(value,
+indent=2, sort_keys=True)``, written for ``str``-keyed dicts, lists, ``str``,
+``int``, ``bool`` and ``None`` only; any other type raises ``TypeError``.
 
 Exit codes, all decided by :func:`main`: 0 success (also after ``--help``),
 1 usage or input error, 2 resource guard violation.
@@ -96,10 +95,9 @@ def _json(value, indent: str = "\n") -> str:
 
 
 def _emit(payload: dict) -> None:
-    """Print ``payload`` and ``schema_version`` 1 in the bytes of ``json.dumps(...,
-    indent=2, sort_keys=True)``, through the stdlib's C string escape; any type but
-    a ``str``-keyed dict, a list, ``str``, ``int``, ``bool`` or ``None`` raises
-    ``TypeError``."""
+    """Print ``payload`` and ``schema_version`` 1 as ``json.dumps(..., indent=2,
+    sort_keys=True)`` would; a type that the module docstring does not name
+    raises ``TypeError``."""
     print(_json({"schema_version": 1, **payload}))
 
 

@@ -198,7 +198,7 @@ def conjecture_sample_check(
     num_vars = n + monomial_count(n, d - 1)
     work = [(seed, t, num_vars, d, reference) for t in range(trials)]
     if workers > 1:
-        # imported here: the pool's modules are a fifth of a serial command's start-up
+        # imported here: the pool's modules are ~30% of a serial command's start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -306,3 +306,68 @@ def test_cli_usage_error_matches_golden_digest(name, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert hashlib.sha256(captured.err.encode()).hexdigest() == digest
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+# argv where a parser tree built piece by piece could part from one built
+# whole: an unknown option left over for the top parser, errors and help
+# from a group parser, options before the command, a "--", an abbreviated
+# option and -h at each level; (argv, exit code, stdout digest, stderr
+# digest) at COLUMNS=80, recorded while build_parser built every parser
+EDGE_CASES = {
+    "unrecognized-after-leaf": (
+        ["locus", "maps", "--n", "2", "--d", "3", "--bogus"],
+        1,
+        EMPTY,
+        "48c6a63e2dffdae9fb7252baa9f2795f4c0f53aa784d1d84b889d82a2b8358e5",
+    ),
+    "group-invalid-choice": (
+        ["locus", "frobnicate"],
+        1,
+        EMPTY,
+        "a445f6cd191f41474fb921a087ea64c23d875ff942b3fae4d7805e7a07121153",
+    ),
+    "group-bare": (
+        ["locus"],
+        1,
+        EMPTY,
+        "ae1beeb489bc4dd2253b96328e24a74a59d9f0c2d994abdc57e58b78f9e85436",
+    ),
+    "unknown-option-first": (
+        ["--bogus", "hilbert"],
+        1,
+        EMPTY,
+        "287a50d6246cfeb821bc7a412d6ab590c7aad99c4a21176db395a3427abc4d4a",
+    ),
+    "double-dash": (
+        ["--", "locus", "maps", "--n", "2", "--d", "3"],
+        1,
+        EMPTY,
+        "3e95d91a9eedc0a734dfbcf7b86ae1a3c57e014d2cac11122dc628ffb4947cf8",
+    ),
+    # --ma is --max-dim abbreviated: a guard of 5 stops (2,3) with exit 2
+    "abbreviated-option": (
+        ["locus", "maps", "--ma", "5", "--n", "2", "--d", "3"],
+        2,
+        EMPTY,
+        "e14837b664345cea584dbd4cfc356c3db556db0d39f0f2d538193121c1638729",
+    ),
+    "leaf-help-last": (
+        ["locus", "maps", "--n", "2", "--d", "3", "-h"],
+        0,
+        HELP[("locus", "maps")],
+        EMPTY,
+    ),
+    "top-help-before-command": (["-h", "locus"], 0, HELP[()], EMPTY),
+    "group-help-before-command": (["locus", "-h", "maps"], 0, HELP[("locus",)], EMPTY),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_cli_edge_case_matches_golden_digest(name, capsys, monkeypatch):
+    argv, code, out_digest, err_digest = EDGE_CASES[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest

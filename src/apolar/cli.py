@@ -12,10 +12,12 @@ indent=2, sort_keys=True)``, written for ``str``-keyed dicts, lists, ``str``,
 Exit codes, all decided by :func:`main`: 0 success (also after ``--help``),
 1 usage or input error, 2 resource guard violation.
 
-:func:`main` may be called repeatedly in one process.  The parser is built
-on the first call and reused after that (parsing never changes it, and each
-call gets a fresh namespace), so every call prints the same bytes and
-returns the same exit code as a fresh ``python -m apolar.cli`` process.
+:func:`main` may be called repeatedly in one process.  The commands are the
+rows of one table, :data:`COMMANDS`.  Each command's parser is built the
+first time a call selects it and is reused after that (parsing never changes
+it, and each call gets a fresh namespace), so every call prints the same
+bytes and returns the same exit code as a fresh ``python -m apolar.cli``
+process.
 """
 
 from __future__ import annotations
@@ -314,116 +316,109 @@ def _cmd_conjecture(args) -> None:
     )
 
 
-def _add_poly_options(parser) -> None:
-    parser.add_argument("--poly", required=True, help="polynomial text")
-    parser.add_argument("--nvars", type=int, required=True, help="total variable count")
-    parser.add_argument(
-        "--uvars",
-        type=int,
-        default=0,
-        help="size of the trailing u-variable block (default 0)",
-    )
+def _option(flag: str, **keywords) -> tuple:
+    """One option of a group, added as ``add_argument(flag, **keywords)``; no
+    keywords means a required integer."""
+    return flag, keywords or {"type": int, "required": True}
 
 
-def _add_convention(parser) -> None:
-    parser.add_argument(
-        "--convention",
-        choices=("dual", "diff"),
-        default="dual",
-        help="monomial pairing rule (default: dual basis)",
-    )
+_POLY = (
+    _option("--poly", required=True, help="polynomial text"),
+    _option("--nvars", type=int, required=True, help="total variable count"),
+    _option("--uvars", type=int, default=0,
+            help="size of the trailing u-variable block (default 0)"),
+)
+_CONVENTION = (
+    _option("--convention", choices=("dual", "diff"), default="dual",
+            help="monomial pairing rule (default: dual basis)"),
+)
+_SHAPE = (_option("--n"), _option("--d"))
+_MAX_DIM = (_option("--max-dim", type=int, default=DEFAULT_MATRIX_GUARD),)
+_ENUMERATE = (
+    _option("--nvars"),
+    _option("--degree"),
+    _option("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD,
+            help=f"basis-size guard (default {DEFAULT_ENUMERATION_GUARD})"),
+    _option("--format", choices=("json", "csv"), default="json"),
+)
+_TRIALS = (_option("--trials"), _option("--seed"), _option("--jobs", type=int, default=1))
+
+# One row per command: (path, help line, option groups, handler).  A group
+# row has neither options nor handler; its subcommands are the rows whose
+# path extends its own, in table order, which is the order help lists them.
+COMMANDS = (
+    (("hilbert",), "Hilbert vector and standardness", (_POLY, _CONVENTION), _cmd_hilbert),
+    (("ann",), "canonical basis of one annihilator degree",
+     (_POLY, _CONVENTION, (_option("--degree"),)), _cmd_ann),
+    (("generators",), "structured generators (coefficient-one input only)",
+     (_POLY,), _cmd_generators),
+    (("cw",), "cell complex counts and minimal non-faces",
+     (_POLY, (_option("--export", choices=("json", "dot"), default=None),)), _cmd_cw),
+    (("locus",), "standard locus analysis", (), None),
+    (("locus", "enumerate"), "admissible support catalog", (_ENUMERATE,),
+     _cmd_locus_enumerate),
+    (("locus", "stcheck"), "support admissibility verdicts", (_POLY,), _cmd_locus_stcheck),
+    (("locus", "maps"), "projection map kernel dimensions vs published formulas",
+     (_SHAPE, _MAX_DIM), _cmd_locus_maps),
+    (("perazzo",), "full Perazzo polynomials", (), None),
+    (("perazzo", "build"), "print the full Perazzo polynomial", (_SHAPE,),
+     _cmd_perazzo_build),
+    (("perazzo", "hilbert"), "full Perazzo Hilbert vector", (_SHAPE, _MAX_DIM),
+     _cmd_perazzo_hilbert),
+    (("perazzo", "census"), "degree-2 annihilator census", (_SHAPE,), _cmd_perazzo_census),
+    (("conjecture",), "randomized Hilbert-vector minimality stress test",
+     (_SHAPE, _TRIALS, _MAX_DIM), _cmd_conjecture),
+)
+
+
+def _parser(path: tuple, **kwargs) -> argparse.ArgumentParser:
+    """The parser of the command at ``path`` (``()`` is the top level): its
+    row's options and handler, or one :class:`_Command` per subcommand."""
+    parser = argparse.ArgumentParser(**kwargs)
+    commands = None
+    for row_path, help_line, groups, handler in COMMANDS:
+        if row_path == path and handler is not None:
+            for group in groups:
+                for flag, keywords in group:
+                    parser.add_argument(flag, **keywords)
+            parser.set_defaults(func=handler)
+        elif row_path[:-1] == path:
+            if commands is None:
+                commands = parser.add_subparsers(
+                    dest="_".join((*path, "command")), required=True, parser_class=_Command
+                )
+            commands.add_parser(row_path[-1], help=help_line, path=row_path)
+    return parser
+
+
+class _Command:
+    """A subcommand's parser, built by its first ``parse_known_args`` (the one
+    call argparse makes on a subparser, once argv selects it) and reused by
+    later ones.  Its name and help line are already in its parent's help and
+    choices, so a command that no call selects costs no parser."""
+
+    def __init__(self, path: tuple, **kwargs):
+        # every keyword add_parser passes (prog, and more on newer Pythons)
+        # goes on to the real parser
+        self._path, self._kwargs, self._parser = path, kwargs, None
+
+    def parse_known_args(self, args, namespace):
+        if self._parser is None:
+            self._parser = _parser(self._path, **self._kwargs)
+        return self._parser.parse_known_args(args, namespace)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
-    later one in the process: callers parse with it and never change it."""
-    parser = argparse.ArgumentParser(
+    later one in the process: callers parse with it and never change it.
+    Each command's parser is built the first time a parse selects it and is
+    reused after that."""
+    return _parser(
+        (),
         prog="apolar",
         description="Exact apolarity computations for graded Artinian Gorenstein algebras.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hilbert", help="Hilbert vector and standardness")
-    _add_poly_options(p)
-    _add_convention(p)
-    p.set_defaults(func=_cmd_hilbert)
-
-    p = sub.add_parser("ann", help="canonical basis of one annihilator degree")
-    _add_poly_options(p)
-    _add_convention(p)
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=_cmd_ann)
-
-    p = sub.add_parser(
-        "generators", help="structured generators (coefficient-one input only)"
-    )
-    _add_poly_options(p)
-    p.set_defaults(func=_cmd_generators)
-
-    p = sub.add_parser("cw", help="cell complex counts and minimal non-faces")
-    _add_poly_options(p)
-    p.add_argument("--export", choices=("json", "dot"), default=None)
-    p.set_defaults(func=_cmd_cw)
-
-    locus = sub.add_parser("locus", help="standard locus analysis")
-    locus_sub = locus.add_subparsers(dest="locus_command", required=True)
-
-    p = locus_sub.add_parser("enumerate", help="admissible support catalog")
-    p.add_argument("--nvars", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument(
-        "--guard",
-        type=int,
-        default=DEFAULT_ENUMERATION_GUARD,
-        help=f"basis-size guard (default {DEFAULT_ENUMERATION_GUARD})",
-    )
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_locus_enumerate)
-
-    p = locus_sub.add_parser("stcheck", help="support admissibility verdicts")
-    _add_poly_options(p)
-    p.set_defaults(func=_cmd_locus_stcheck)
-
-    p = locus_sub.add_parser(
-        "maps", help="projection map kernel dimensions vs published formulas"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MATRIX_GUARD)
-    p.set_defaults(func=_cmd_locus_maps)
-
-    perazzo = sub.add_parser("perazzo", help="full Perazzo polynomials")
-    perazzo_sub = perazzo.add_subparsers(dest="perazzo_command", required=True)
-
-    p = perazzo_sub.add_parser("build", help="print the full Perazzo polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=_cmd_perazzo_build)
-
-    p = perazzo_sub.add_parser("hilbert", help="full Perazzo Hilbert vector")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MATRIX_GUARD)
-    p.set_defaults(func=_cmd_perazzo_hilbert)
-
-    p = perazzo_sub.add_parser("census", help="degree-2 annihilator census")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=_cmd_perazzo_census)
-
-    p = sub.add_parser(
-        "conjecture", help="randomized Hilbert-vector minimality stress test"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MATRIX_GUARD)
-    p.set_defaults(func=_cmd_conjecture)
-
-    return parser
 
 
 def main(argv=None) -> int:

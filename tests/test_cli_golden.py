@@ -9,9 +9,11 @@ code before the change they guard, as the comments next to them say.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
+from apolar import cli
 from apolar.cli import main
 
 F25 = "x1^5 - 2*x1^3*x2^2 + 3/4*x1^2*x2^3 + 7*x2^5"
@@ -371,3 +373,11 @@ def test_cli_edge_case_matches_golden_digest(name, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
     assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest
+
+
+def test_every_command_row_has_a_help_digest_and_its_own_handler():
+    # a command added to the table cannot land without a pinned --help
+    assert {path for path, _, _, _ in cli.COMMANDS} | {()} == set(HELP)
+    handlers = [handler for _, _, _, handler in cli.COMMANDS if handler is not None]
+    commands = [value for name, value in vars(cli).items() if name.startswith("_cmd_")]
+    assert Counter(handlers) == Counter(commands)

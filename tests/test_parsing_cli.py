@@ -338,12 +338,23 @@ def test_main_builds_the_parser_once_and_lazily(capsys, monkeypatch):
     monkeypatch.delattr(apolar, "cli", raising=False)
     cli = importlib.import_module("apolar.cli")
     assert built == []
-    assert cli.main(["hilbert", "--poly", "x1^2", "--nvars", "1"]) == 0
-    assert built  # the counter sees the first call's parsers
+    # each call builds the parsers on its own path that no call built before
+    calls = [
+        (["locus", "maps", "--n", "2", "--d", "2"], 0,
+         ["apolar", "apolar locus", "apolar locus maps"]),
+        (["hilbert", "--poly", "x1^2", "--nvars", "1"], 0, ["apolar hilbert"]),
+        (["locus", "enumerate", "--nvars", "2", "--degree", "2"], 0,
+         ["apolar locus enumerate"]),
+        (["perazzo", "hilbert", "--n", "2", "--d", "3"], 0,
+         ["apolar perazzo", "apolar perazzo hilbert"]),
+        (["hilbert", "--nvars", "2"], 1, []),  # usage error
+    ]
+    for argv, code, progs in calls:
+        built.clear()
+        assert cli.main(argv) == code
+        assert built == progs
     built.clear()
-    assert cli.main(["cw", "--poly", "x1^2 + x1*x2", "--nvars", "2"]) == 0
-    assert cli.main(["locus", "maps", "--n", "2", "--d", "2"]) == 0
-    assert cli.main(["perazzo", "hilbert", "--n", "2", "--d", "3"]) == 0
-    assert cli.main(["hilbert", "--nvars", "2"]) == 1  # usage error
+    for argv, code, _ in calls:
+        assert cli.main(argv) == code
     capsys.readouterr()
     assert built == []

@@ -1,10 +1,12 @@
 """Command-line surface.
 
-Every subcommand prints a single JSON document with a top-level
-``schema_version`` field, serialized with sorted keys so output is
-byte-identical for identical inputs (and, for the sampling commands,
-identical seeds); ``cw --export dot`` and ``locus enumerate --format csv``
-print DOT and CSV instead.  Rationals print as ``p/q`` strings; there is no
+Every subcommand's handler returns its one document and writes nothing;
+:func:`main` is the only code that writes stdout.  A ``dict`` is printed as
+a single JSON document with a top-level ``schema_version`` field, serialized
+with sorted keys so output is byte-identical for identical inputs (and, for
+the sampling commands, identical seeds); ``cw --export dot`` and ``locus
+enumerate --format csv`` return their DOT and CSV text, newline-terminated,
+which is written as it is.  Rationals print as ``p/q`` strings; there is no
 decimal output anywhere.  The JSON bytes are those of ``json.dumps(value,
 indent=2, sort_keys=True)``, written for ``str``-keyed dicts, lists, ``str``,
 ``int``, ``bool`` and ``None`` only; any other type raises ``TypeError``.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import locale  # noqa: F401 -- argparse's gettext needs it at the first parser build
 import sys
 from json.encoder import encode_basestring_ascii
@@ -71,7 +74,7 @@ from .monomials import unit_power
 
 
 def _json(value, indent: str = "\n") -> str:
-    """``value`` as :func:`_emit` writes it, after the newline and indent ``indent``."""
+    """``value`` as :func:`main` writes it, after the newline and indent ``indent``."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -96,13 +99,6 @@ def _json(value, indent: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
-def _emit(payload: dict) -> None:
-    """Print ``payload`` and ``schema_version`` 1 as ``json.dumps(..., indent=2,
-    sort_keys=True)`` would; a type that the module docstring does not name
-    raises ``TypeError``."""
-    print(_json({"schema_version": 1, **payload}))
-
-
 def _parse_poly_args(args):
     return parse_polynomial(args.poly, args.nvars, args.uvars)
 
@@ -114,64 +110,54 @@ def _paired_form(args):
     return differentiation_form(f) if args.convention == "diff" else f
 
 
-def _cmd_hilbert(args) -> None:
+def _cmd_hilbert(args) -> dict:
     f = _paired_form(args)
     h = hilbert_vector(f)
-    _emit(
-        {
-            "hilbert": list(h),
-            # no degree-1 annihilator exactly when h_1 = n; false in degree 0
-            "standard": h[1:2] == (f.num_vars,),
-            "socle_degree": f.degree,
-        }
-    )
+    return {
+        "hilbert": list(h),
+        # no degree-1 annihilator exactly when h_1 = n; false in degree 0
+        "standard": h[1:2] == (f.num_vars,),
+        "socle_degree": f.degree,
+    }
 
 
-def _cmd_ann(args) -> None:
+def _cmd_ann(args) -> dict:
     f = _paired_form(args)
     if not 1 <= args.degree <= f.degree:
         raise ValueError(f"--degree must be in 1..{f.degree}")
     basis = annihilator_basis(f, args.degree)
-    _emit(
-        {
-            "degree": args.degree,
-            "dimension": len(basis),
-            "basis": [
-                format_polynomial(op, args.uvars, operator=True) for op in basis
-            ],
-        }
-    )
+    return {
+        "degree": args.degree,
+        "dimension": len(basis),
+        "basis": [format_polynomial(op, args.uvars).upper() for op in basis],
+    }
 
 
-def _cmd_generators(args) -> None:
+def _cmd_generators(args) -> dict:
+    # operators print as their polynomial text in capitals
     f = _parse_poly_args(args)
     gens = extract_generators(f)
-    _emit(
-        {
-            "powers": [
-                format_monomial(unit_power(f.num_vars, k, e), args.uvars, operator=True)
-                for k, e in sorted(gens.powers)
-            ],
-            "nonface_monomials": {
-                str(j): [
-                    format_monomial(m, args.uvars, operator=True)
-                    for m in sorted(monomials)
+    return {
+        "powers": [
+            format_monomial(unit_power(f.num_vars, k, e), args.uvars).upper()
+            for k, e in sorted(gens.powers)
+        ],
+        "nonface_monomials": {
+            str(j): [format_monomial(m, args.uvars).upper() for m in sorted(monomials)]
+            for j, monomials in sorted(gens.nonface_monomials.items())
+        },
+        "differences": {
+            str(j): [
+                [
+                    format_polynomial(p1, args.uvars).upper(),
+                    format_polynomial(p2, args.uvars).upper(),
                 ]
-                for j, monomials in sorted(gens.nonface_monomials.items())
-            },
-            "differences": {
-                str(j): [
-                    [
-                        format_polynomial(p1, args.uvars, operator=True),
-                        format_polynomial(p2, args.uvars, operator=True),
-                    ]
-                    for p1, p2 in pairs
-                ]
-                for j, pairs in sorted(gens.differences.items())
-            },
-            "verified": verify_generators(f, gens),
-        }
-    )
+                for p1, p2 in pairs
+            ]
+            for j, pairs in sorted(gens.differences.items())
+        },
+        "verified": verify_generators(f, gens),
+    }
 
 
 def _complex_poset(zeta, num_u_vars: int):
@@ -185,7 +171,7 @@ def _complex_poset(zeta, num_u_vars: int):
     return by_dimension, [[labels[a], labels[b]] for a, b in edges]
 
 
-def _cmd_cw(args) -> None:
+def _cmd_cw(args) -> dict | str:
     f = _parse_poly_args(args)
     zeta = complex_of(f)
     d = f.degree
@@ -197,9 +183,7 @@ def _cmd_cw(args) -> None:
                 lines.append(f'  "{label}" [dimension={dim}];')
         for child, parent in edges:
             lines.append(f'  "{child}" -> "{parent}";')
-        lines.append("}")
-        print("\n".join(lines))
-        return
+        return "\n".join(lines) + "\n}\n"
     payload = {
         "cell_counts": list(cell_count_vector(zeta, d)),
         "skeleton_counts": [skeleton_count(zeta, k) for k in range(d)],
@@ -214,10 +198,10 @@ def _cmd_cw(args) -> None:
         by_dimension, edges = _complex_poset(zeta, args.uvars)
         payload["cells_by_dimension"] = by_dimension
         payload["divisibility_edges"] = edges
-    _emit(payload)
+    return payload
 
 
-def _cmd_locus_enumerate(args) -> None:
+def _cmd_locus_enumerate(args) -> dict | str:
     components = enumerate_admissible_supports(
         args.nvars, args.degree, max_basis=args.guard
     )
@@ -234,85 +218,66 @@ def _cmd_locus_enumerate(args) -> None:
         for index, comp in enumerate(components)
     ]
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
-            ["index", "support", "derived_set", "dim_support", "dim_derived"]
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        fields = ("index", "support", "derived_set", "dim_support", "dim_derived")
+        writer.writerow(fields)
+        writer.writerows(
+            (row["index"], " ".join(row["support"]), " ".join(row["derived_set"]),
+             row["dim_support"], row["dim_derived"])
+            for row in rows
         )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["index"],
-                    " ".join(row["support"]),
-                    " ".join(row["derived_set"]),
-                    row["dim_support"],
-                    row["dim_derived"],
-                ]
-            )
-        return
-    _emit({"nvars": args.nvars, "degree": args.degree, "components": rows})
+        return text.getvalue()
+    return {"nvars": args.nvars, "degree": args.degree, "components": rows}
 
 
-def _cmd_locus_stcheck(args) -> None:
+def _cmd_locus_stcheck(args) -> dict:
     f = _parse_poly_args(args)
     conditions = support_conditions(f.support(), f.num_vars)
     ones = coefficient_one_poly(f.num_vars, f.support())
-    _emit(
-        {
-            "support": [format_monomial(m, args.uvars) for m in f.support()],
-            "covers_all_variables": conditions.covers_all_variables,
-            "unique_derivative_source": conditions.unique_derivative_source,
-            "no_cross_collision": conditions.no_cross_collision,
-            "all_conditions_hold": conditions.all_hold,
-            "standard_linear_algebra": is_standard(f),
-            "standard_linear_algebra_coefficient_one": is_standard(ones),
-        }
-    )
+    return {
+        "support": [format_monomial(m, args.uvars) for m in f.support()],
+        "covers_all_variables": conditions.covers_all_variables,
+        "unique_derivative_source": conditions.unique_derivative_source,
+        "no_cross_collision": conditions.no_cross_collision,
+        "all_conditions_hold": conditions.all_hold,
+        "standard_linear_algebra": is_standard(f),
+        "standard_linear_algebra_coefficient_one": is_standard(ones),
+    }
 
 
-def _cmd_locus_maps(args) -> None:
-    _emit(
-        {
-            "n": args.n,
-            "d": args.d,
-            "maps": projection_map_report(args.n, args.d, max_dim=args.max_dim),
-        }
-    )
+def _cmd_locus_maps(args) -> dict:
+    return {
+        "n": args.n,
+        "d": args.d,
+        "maps": projection_map_report(args.n, args.d, max_dim=args.max_dim),
+    }
 
 
-def _cmd_perazzo_build(args) -> None:
+def _cmd_perazzo_build(args) -> dict:
     f = build_full_perazzo(args.n, args.d)
     p = f.num_vars - args.n
-    _emit(
-        {
-            "poly": format_polynomial(f, num_u_vars=args.n),
-            "num_vars": f.num_vars,
-            "x_vars": p,
-            "u_vars": args.n,
-            "bidegree": list(is_bihomogeneous(f, p)),
-        }
-    )
+    return {
+        "poly": format_polynomial(f, num_u_vars=args.n),
+        "num_vars": f.num_vars,
+        "x_vars": p,
+        "u_vars": args.n,
+        "bidegree": list(is_bihomogeneous(f, p)),
+    }
 
 
-def _cmd_perazzo_hilbert(args) -> None:
+def _cmd_perazzo_hilbert(args) -> dict:
     h = full_perazzo_hilbert(args.n, args.d, max_dim=args.max_dim)
-    _emit(
-        {
-            "hilbert": list(h),
-            "codimension": h[1],
-            "socle_degree": args.d,
-        }
-    )
+    return {"hilbert": list(h), "codimension": h[1], "socle_degree": args.d}
 
 
-def _cmd_perazzo_census(args) -> None:
-    _emit(degree2_census(build_full_perazzo(args.n, args.d)).as_dict())
+def _cmd_perazzo_census(args) -> dict:
+    return degree2_census(build_full_perazzo(args.n, args.d)).as_dict()
 
 
-def _cmd_conjecture(args) -> None:
-    _emit(
-        conjecture_sample_check(
-            args.n, args.d, args.trials, args.seed, jobs=args.jobs, max_dim=args.max_dim
-        )
+def _cmd_conjecture(args) -> dict:
+    return conjecture_sample_check(
+        args.n, args.d, args.trials, args.seed, jobs=args.jobs, max_dim=args.max_dim
     )
 
 
@@ -429,13 +394,17 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, which is an input error here
         return 1 if exc.code else 0
     try:
-        args.func(args)
+        doc = args.func(args)
     except GuardExceeded as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 2
     except (PolynomialSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # the one stdout write: a handler's text as it is, its dict as JSON
+    if isinstance(doc, dict):
+        doc = _json({"schema_version": 1, **doc}) + "\n"
+    sys.stdout.write(doc)
     return 0
 
 

@@ -119,34 +119,27 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def format_monomial(
-    exps,
-    num_u_vars: int = 0,
-    operator: bool = False,
-) -> str:
+def format_monomial(exps, num_u_vars: int = 0) -> str:
     x_count = len(exps) - num_u_vars
     parts = []
     for index, power in enumerate(exps):
         if power == 0:
             continue
         name = f"x{index + 1}" if index < x_count else f"u{index - x_count + 1}"
-        name = name.upper() if operator else name
         parts.append(name if power == 1 else f"{name}^{power}")
     return "*".join(parts) if parts else "1"
 
 
-def format_polynomial(
-    f: GradedPolynomial,
-    num_u_vars: int = 0,
-    operator: bool = False,
-) -> str:
-    """Render with the highest term first; ``parse_polynomial`` inverts this."""
+def format_polynomial(f: GradedPolynomial, num_u_vars: int = 0) -> str:
+    """Render with the highest term first; ``parse_polynomial`` inverts this.
+    Only the letters ``x`` and ``u`` are ever written, so a caller that prints
+    an operator in the dual variables writes this text in capitals."""
     if f.is_zero():
         return "0"
     pieces = []
     for exps in sorted(f.terms, reverse=True):
         coeff = f.terms[exps]
-        mono = format_monomial(exps, num_u_vars, operator)
+        mono = format_monomial(exps, num_u_vars)
         magnitude = abs(coeff)
         if mono == "1":
             body = format_rational(magnitude)

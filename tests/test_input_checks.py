@@ -158,6 +158,10 @@ CHECKS = {
     ),
     "annihilator_basis-zero": (lambda: annihilator_basis(ZERO, 1), "zero polynomial"),
     "hilbert_vector-zero": (lambda: hilbert_vector(ZERO), "zero polynomial"),
+    "hilbert_vector-cap-count": (
+        lambda: hilbert_vector(QUADRIC, (1, 2)),
+        "need 3 rank caps, got 2",
+    ),
     "is_standard-zero": (lambda: is_standard(ZERO), "zero polynomial"),
     "annihilator_dimension-negative-degree": (
         lambda: annihilator_dimension(QUADRIC, -1),

@@ -17,6 +17,7 @@ from apolar.locus import (
     u_elimination_matrix,
 )
 from apolar.monomials import basis_index, enumerate_exponents, monomial_count
+from apolar.parsing import format_polynomial
 from apolar.perazzo import build_full_perazzo
 from apolar.polynomials import coefficient_one_poly, is_standard
 from oracles import lower_at, projection_images
@@ -171,6 +172,39 @@ def test_full_perazzo_support_is_admissible_at_2_2():
     match = next(c for c in comps if c.support == tuple(sorted(f.support())))
     # the full Perazzo locus has dimension tau(n, d-1) - 1
     assert match.dim_support == monomial_count(2, 1) - 1
+
+
+# The full Perazzo form of (n, d) lies in the catalog at (nvars, degree) =
+# (tau(n, d-1) + n, d), enumerated under the basis guard given.  Pinned per
+# (n, d): the form, the catalog size, the Perazzo support's (dim_support,
+# dim_derived), and the smallest dim_support and dim_derived, each with how
+# many supports reach it.
+PERAZZO_IN_CATALOG = {
+    (2, 2): ((4, 2, 20), "x1*x4 + x2*x3", 10, (1, 3), (1, 3), (3, 10)),
+    (2, 3): ((5, 3, 35), "x1*x5^2 + x2*x4*x5 + x3*x4^2", 24385, (2, 6), (1, 35),
+             (4, 111)),
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(PERAZZO_IN_CATALOG))
+def test_full_perazzo_support_catalog_dimensions(n, d):
+    # dim_support is |S| - 1 and dim_derived is |derived set| - 1.  At (2, 3)
+    # neither count makes the Perazzo support minimal: a discrepancy with the
+    # paper's minimal components left visible, not a refutation, since the
+    # paper's hypotheses are not available here.
+    (nvars, degree, guard), text, count, dims, support_min, derived_min = (
+        PERAZZO_IN_CATALOG[n, d]
+    )
+    f = build_full_perazzo(n, d)
+    assert (f.num_vars, f.degree, format_polynomial(f)) == (nvars, degree, text)
+    comps = enumerate_admissible_supports(nvars, degree, max_basis=guard)
+    assert len(comps) == count
+    (perazzo,) = [c for c in comps if c.support == tuple(sorted(f.support()))]
+    assert (perazzo.dim_support, perazzo.dim_derived) == dims
+    for field, (least, reach) in (("dim_support", support_min),
+                                  ("dim_derived", derived_min)):
+        values = [getattr(c, field) for c in comps]
+        assert (min(values), values.count(min(values))) == (least, reach)
 
 
 def test_component_keeps_a_copy_of_its_support():

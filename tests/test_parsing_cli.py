@@ -142,9 +142,14 @@ def test_format_golden():
     assert format_polynomial(g) == "3/2*x1^3 - x2^3"
 
 
-def test_format_operator_uppercase():
+def test_format_operator_uppercase(capsys):
+    # the formatters have one mode: operator text is the polynomial text in
+    # capitals, since x and u are the only letters they write
     f = graded_polynomial(2, {(2, 0): 1, (1, 1): -1})
-    assert format_polynomial(f, operator=True) == "X1^2 - X1*X2"
+    assert format_polynomial(f).upper() == "X1^2 - X1*X2"
+    # the README's ann example
+    assert main(["ann", "--poly", "x1^2 + x1*x2", "--nvars", "2", "--degree", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == ["X2^2", "-X1^2 + X1*X2"]
 
 
 def test_format_rational():

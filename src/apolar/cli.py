@@ -126,6 +126,7 @@ def _cmd_ann(args) -> dict:
     if not 1 <= args.degree <= f.degree:
         raise ValueError(f"--degree must be in 1..{f.degree}")
     basis = annihilator_basis(f, args.degree)
+    # an operator prints as its polynomial text in capitals
     return {
         "degree": args.degree,
         "dimension": len(basis),
@@ -134,7 +135,6 @@ def _cmd_ann(args) -> dict:
 
 
 def _cmd_generators(args) -> dict:
-    # operators print as their polynomial text in capitals
     f = _parse_poly_args(args)
     gens = extract_generators(f)
     return {

@@ -51,7 +51,6 @@ from .locus import (
     support_conditions,
 )
 from .parsing import (
-    PolynomialSyntaxError,
     format_monomial,
     format_polynomial,
     parse_polynomial,
@@ -398,7 +397,7 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 2
-    except (PolynomialSyntaxError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # the one stdout write: a handler's text as it is, its dict as JSON

@@ -14,10 +14,12 @@ the kernel of the catalecticant C_j, whose columns are the only contraction
 images this module reads.  Every candidate is an annihilator, so each
 degree's span lies in ker C_j: extraction stops a degree once the span
 reaches dim ker C_j (and the degree d+1 span once it is the whole operator
-space), and a degree already saturated before its image scan skips the scan
-after the subset guard.  No kept candidate changes.  ``verify_generators``
-checks degree-wise, in full and independently of extraction, that a
-generator set really generates the whole annihilator.
+space).  A degree saturated before its image scan skips the scan, and its
+subset guard counts the degree's cells instead of the nonzero columns of
+C_j: X^c sends the terms of f it divides to distinct monomials, so the two
+counts agree.  ``verify_generators`` checks degree-wise, in full and
+independently of extraction, that a generator set really generates the
+whole annihilator.
 
 Every generator is built by ``_operator`` from term maps.  Extraction's
 maps have coefficients ±1, so its operators are ``int`` polynomials, and
@@ -32,12 +34,12 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .complexes import complex_of, minimal_nonfaces
+from .complexes import cell_count_vector, complex_of, minimal_nonfaces
 from .errors import DEFAULT_SUBSET_GUARD, check_guard
 from .linalg import Echelon, rank
 from .monomials import ExponentVector, basis_index, enumerate_exponents
 from .monomials import monomial_count, unit_power
-from .polynomials import GradedPolynomial, catalecticant_matrix
+from .polynomials import GradedPolynomial, annihilator_dimension, catalecticant_matrix
 
 _NO_TERMS: Mapping = MappingProxyType({})
 
@@ -131,33 +133,39 @@ def _ideal_span(
     return index, span
 
 
-def _image_columns(f: GradedPolynomial, j: int, max_subsets: int):
-    """C_j, the degree-j monomials that do not annihilate ``f`` and their
-    columns of C_j as nonzero (row, value) entries, after the subset guard
-    has seen their count."""
+def _check_subsets(cells: int, max_subsets: int) -> None:
+    """Guard a scan of the 2^cells subsets; with no cells there is none."""
+    check_guard("subset count", cells and 1 << cells, max_subsets, "max_subsets")
+
+
+def contraction_image_classes(
+    f: GradedPolynomial,
+    j: int,
+    max_subsets: int = DEFAULT_SUBSET_GUARD,
+) -> list[list[tuple[ExponentVector, ...]]]:
+    """Partition of coefficient-one degree-j operator polynomials by image.
+
+    Polynomials are identified with their supports (nonempty subsets of the
+    monomials that do not annihilate ``f``); two belong to the same class
+    exactly when they contract ``f`` to the same polynomial.  The image of
+    the degree-j monomial X^c is column c of the catalecticant C_j, so a
+    support's image is the sum of its columns; a Gray-code scan adds or
+    subtracts one column per subset.  The subset guard counts the nonzero
+    columns, the degree-j cells of the complex of ``f``.  Classes and
+    members come back sorted, so the result is deterministic.
+    """
     if not 1 <= j <= f.degree:
         raise ValueError(f"degree {j} outside 1..{f.degree}")
     c_j = catalecticant_matrix(f, j)
-    cells = []
-    images = []
+    cells, images = [], []
     for c, m in enumerate(enumerate_exponents(f.num_vars, j)):
         column = [(r, x) for r, x in enumerate(c_j.column(c)) if x]
         if column:
             cells.append(m)
             images.append(column)
-    count = len(cells)
-    # no non-annihilating monomial means nothing to scan, whatever the guard
-    check_guard("subset count", count and 1 << count, max_subsets, "max_subsets")
-    return c_j, cells, images
-
-
-def _scan_image_classes(
-    rows: int, cells, images
-) -> list[list[tuple[ExponentVector, ...]]]:
-    """The Gray-code scan of ``contraction_image_classes`` over the columns
-    that ``_image_columns`` returns."""
+    _check_subsets(len(cells), max_subsets)
     groups: dict[tuple, list[int]] = {}
-    running = [0] * rows
+    running = [0] * c_j.rows
     gray = 0
     for i in range(1, 1 << len(cells)):
         bit = (i & -i).bit_length() - 1
@@ -177,25 +185,6 @@ def _scan_image_classes(
     return classes
 
 
-def contraction_image_classes(
-    f: GradedPolynomial,
-    j: int,
-    max_subsets: int = DEFAULT_SUBSET_GUARD,
-) -> list[list[tuple[ExponentVector, ...]]]:
-    """Partition of coefficient-one degree-j operator polynomials by image.
-
-    Polynomials are identified with their supports (nonempty subsets of the
-    monomials that do not annihilate ``f``); two belong to the same class
-    exactly when they contract ``f`` to the same polynomial.  The image of
-    the degree-j monomial X^c is column c of the catalecticant C_j, so a
-    support's image is the sum of its columns; a Gray-code scan adds or
-    subtracts one column per subset.  Classes and members come back sorted,
-    so the result is deterministic.
-    """
-    c_j, cells, images = _image_columns(f, j, max_subsets)
-    return _scan_image_classes(c_j.rows, cells, images)
-
-
 def extract_generators(
     f: GradedPolynomial,
     max_subsets: int = DEFAULT_SUBSET_GUARD,
@@ -208,19 +197,19 @@ def extract_generators(
     Differences are searched in every degree up to the socle degree.  Every
     candidate annihilates ``f``, so a degree stops once its span has
     dim ker C_j pivots, after which no candidate would be kept; a degree
-    saturated before its image scan skips the scan, after the subset guard
-    has seen its count.  Degree d+1 stops once its span is the whole space.
+    saturated before its image scan skips it, and the subset guard reads
+    the degree's cell count.  Degree d+1 stops at the whole space.
     """
     if not f.is_coefficient_one():
         raise ValueError("generator extraction requires all coefficients equal to 1")
     n, d = f.num_vars, f.degree
     zeta = complex_of(f)
+    cell_counts = cell_count_vector(zeta, d)
     kept: list[tuple[int, GradedPolynomial]] = []
     nonfaces: dict[int, frozenset] = {}
     differences: dict[int, tuple] = {}
     for j in range(1, d + 1):
-        c_j, cells, images = _image_columns(f, j, max_subsets)
-        full = c_j.cols - rank(c_j)
+        full = annihilator_dimension(f, j)
         nf = minimal_nonfaces(zeta, j)
         if nf:
             nonfaces[j] = frozenset(nf)
@@ -230,8 +219,10 @@ def extract_generators(
                 span.add(_vector(index, {m: 1}))
             kept.append((j, _operator(n, {m: 1})))
         pairs = []
-        if len(span.pivots) < full:
-            classes = _scan_image_classes(c_j.rows, cells, images)
+        if len(span.pivots) == full:
+            _check_subsets(cell_counts[j], max_subsets)
+        else:
+            classes = contraction_image_classes(f, j, max_subsets)
             for left, right in (p for cls in classes for p in zip(cls, cls[1:])):
                 plus, minus = dict.fromkeys(left, 1), dict.fromkeys(right, 1)
                 if span.add(_vector(index, plus, minus)):

@@ -202,3 +202,30 @@ def projection_images(n, d):
         new_x[divisible.index(t)] = 1
         step.append(position[tuple(new_x) + lower_last(u)])
     return tuple(elimination), tuple(step)
+
+
+def missing_annihilator_dimensions(num_vars, terms, generators):
+    """How many dimensions of each degree-j slice of the annihilator, j = 1
+    .. d+1, the degree-j monomial multiples of ``generators`` (pairs of a
+    degree and a term dict) fail to span: dim ker C_j, from the textbook
+    rank of the looked-up catalecticant (the whole space above d), minus the
+    textbook rank of the multiples.  Degrees that miss nothing are left out."""
+    degree = sum(next(iter(terms)))
+    missing = {}
+    for j in range(1, degree + 2):
+        basis = enumerate_exponents(num_vars, j)
+        index = {m: t for t, m in enumerate(basis)}
+        multiples = []
+        for k, op in generators:
+            for m in enumerate_exponents(num_vars, j - k) if k <= j else ():
+                row = [0] * len(basis)
+                for e, c in op.items():
+                    row[index[tuple(a + b for a, b in zip(e, m))]] = c
+                multiples.append(row)
+        kernel = len(basis)
+        if j <= degree:
+            kernel -= row_reduce_rank(catalecticant_by_lookup(num_vars, terms, j))
+        gap = kernel - row_reduce_rank(multiples)
+        if gap:
+            missing[j] = gap
+    return missing

@@ -47,3 +47,14 @@ def test_traced_locus_maps_counts_entries(capsys):
     assert importlib.import_module("apolar.locus").u_elimination_matrix is (
         u_elimination_matrix
     )
+
+
+def test_traced_generators_counts_the_image_scan(capsys):
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        assert main(["generators", "--poly", "x1^2 + x1*x2", "--nvars", "2"]) == 0
+    snapshot = tracer.snapshot()
+    # only degree 2 is unsaturated before its scan; its two cells x1^2 and
+    # x1*x2 give the three supports {x1^2}, {x1*x2} and {x1^2, x1*x2}
+    assert snapshot["spans"]["generators.contraction_image_classes"][0] == 1
+    assert snapshot["counters"]["generators.subsets_scanned"] == 3

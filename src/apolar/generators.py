@@ -11,20 +11,20 @@ generated by three structured families:
 candidate that already lies in the ideal generated so far, so the output is
 non-redundant and deterministic.  The degree-j slice of the annihilator is
 the kernel of the catalecticant C_j, whose columns are the only contraction
-images this module reads.  Every candidate is an annihilator, so each
-degree's span lies in ker C_j: extraction stops a degree once the span
-reaches dim ker C_j (and the degree d+1 span once it is the whole operator
-space).  A degree saturated before its image scan skips the scan, and its
-subset guard counts the degree's cells instead of the nonzero columns of
-C_j: X^c sends the terms of f it divides to distinct monomials, so the two
-counts agree.  ``verify_generators`` checks degree-wise, in full and
-independently of extraction, that a generator set really generates the
-whole annihilator.
+images this module reads.  Every non-cell is a multiple of a minimal
+non-face of at most its degree, and extraction keeps them all, so their
+multiples are the non-cells' unit vectors: each degree's span lives over
+the degree-j cells alone (at degree d+1, over its minimal non-faces), and
+membership is unchanged, as span(U + B) = span(U) + (B projected off U).
+A degree stops once its span has (cells - rank C_j) pivots.  A degree
+saturated before its image scan skips it, and its subset guard reads the
+cell count, which equals the nonzero columns of C_j.  ``verify_generators``
+checks degree-wise, over the whole degree-j basis and independently of
+extraction, that a generator set generates the whole annihilator.
 
 Every generator is built by ``_operator`` from term maps.  Extraction's
 maps have coefficients ±1, so its operators are ``int`` polynomials, and
-``_vector`` writes the same maps over a degree's monomial basis for the
-echelon spans.
+``_vector`` writes the same maps over a monomial index for the spans.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .complexes import cell_count_vector, complex_of, minimal_nonfaces
+from .complexes import complex_of, minimal_nonfaces
 from .errors import DEFAULT_SUBSET_GUARD, check_guard
 from .linalg import Echelon, rank
 from .monomials import ExponentVector, basis_index, enumerate_exponents
 from .monomials import monomial_count, unit_power
-from .polynomials import GradedPolynomial, annihilator_dimension, catalecticant_matrix
+from .polynomials import GradedPolynomial, catalecticant_matrix
 
 _NO_TERMS: Mapping = MappingProxyType({})
 
@@ -107,30 +107,25 @@ def _vector(index: Mapping, terms: Mapping, minus: Mapping = _NO_TERMS) -> list:
     return v
 
 
-def _ideal_span(
-    generators: list[tuple[int, GradedPolynomial]],
-    n: int,
-    j: int,
-    full: int | None = None,
-) -> tuple[Mapping[ExponentVector, int], Echelon]:
-    """Span of all degree-j monomial multiples of the given generators, as an
-    echelon, and the position of each degree-j monomial in its vectors.  With
-    ``full``, a dimension the span cannot exceed, the multiples stop once it
-    has ``full`` pivots."""
-    index = basis_index(n, j)
+def _ideal_span(generators: list, index: Mapping, j: int) -> Echelon:
+    """Span of all degree-j monomial multiples of the (degree, operator)
+    generators, as an echelon over the monomials of ``index``: a multiple's
+    terms outside it are dropped.  Over a whole degree-j basis that is the
+    span itself; over the complement of a set U of coordinates it is the
+    span's projection, and span(U + B) = span(U) + (B projected off U)."""
     span = Echelon()
     for degree, poly in generators:
         if degree > j:
             continue
         terms = tuple(poly.terms.items())
-        for m in enumerate_exponents(n, j - degree):
-            if len(span.pivots) == full:
-                return index, span
+        for m in enumerate_exponents(poly.num_vars, j - degree):
             v = [0] * len(index)
             for e, c in terms:
-                v[index[tuple(map(add, e, m))]] = c
+                t = index.get(tuple(map(add, e, m)))
+                if t is not None:
+                    v[t] = c
             span.add(v)
-    return index, span
+    return span
 
 
 def _check_subsets(cells: int, max_subsets: int) -> None:
@@ -195,32 +190,30 @@ def extract_generators(
     consecutive-pair differences within each equal-image class, then top
     powers) and kept only when outside the ideal generated so far.
     Differences are searched in every degree up to the socle degree.  Every
-    candidate annihilates ``f``, so a degree stops once its span has
-    dim ker C_j pivots, after which no candidate would be kept; a degree
+    minimal non-face is kept, so a degree's span lives over its cells, and
+    a degree stops once the span has (cells - rank C_j) pivots; a degree
     saturated before its image scan skips it, and the subset guard reads
-    the degree's cell count.  Degree d+1 stops at the whole space.
+    the cell count.  A top power outside the degree d+1 minimal non-faces
+    is a multiple of a kept non-face, so only the others are tried.
     """
     if not f.is_coefficient_one():
         raise ValueError("generator extraction requires all coefficients equal to 1")
     n, d = f.num_vars, f.degree
     zeta = complex_of(f)
-    cell_counts = cell_count_vector(zeta, d)
-    kept: list[tuple[int, GradedPolynomial]] = []
+    kept: list[tuple[int, GradedPolynomial]] = []  # differences; non-faces stay out
     nonfaces: dict[int, frozenset] = {}
     differences: dict[int, tuple] = {}
     for j in range(1, d + 1):
-        full = annihilator_dimension(f, j)
+        cells = sorted(m for m in zeta.cells if sum(m) == j)
+        full = len(cells) - rank(catalecticant_matrix(f, j))
         nf = minimal_nonfaces(zeta, j)
         if nf:
             nonfaces[j] = frozenset(nf)
-        index, span = _ideal_span(kept, n, j, full)
-        for m in nf:
-            if len(span.pivots) < full:
-                span.add(_vector(index, {m: 1}))
-            kept.append((j, _operator(n, {m: 1})))
+        index = {m: t for t, m in enumerate(cells)}
+        span = _ideal_span(kept, index, j)
         pairs = []
         if len(span.pivots) == full:
-            _check_subsets(cell_counts[j], max_subsets)
+            _check_subsets(len(cells), max_subsets)
         else:
             classes = contraction_image_classes(f, j, max_subsets)
             for left, right in (p for cls in classes for p in zip(cls, cls[1:])):
@@ -232,12 +225,12 @@ def extract_generators(
                         break
         if pairs:
             differences[j] = tuple(pairs)
-    full = monomial_count(n, d + 1)
-    index, top_span = _ideal_span(kept, n, d + 1, full)
+    index = {m: t for t, m in enumerate(minimal_nonfaces(zeta, d + 1))}
+    top_span = _ideal_span(kept, index, d + 1)
     powers = set()
     for k in range(1, n + 1):
-        power = {unit_power(n, k, d + 1): 1}
-        if len(top_span.pivots) < full and top_span.add(_vector(index, power)):
+        power = unit_power(n, k, d + 1)
+        if power in index and top_span.add(_vector(index, {power: 1})):
             powers.add((k, d + 1))
     return GeneratorSet(n, d, frozenset(powers), nonfaces, differences)
 
@@ -260,10 +253,11 @@ def verify_generators(f: GradedPolynomial, gens: GeneratorSet) -> bool:
     if any(degree == 0 for degree, _ in generators):
         return False  # a constant kills no nonzero f
     for j in range(1, d + 1):
-        pivots = _ideal_span(generators, n, j)[1].pivots
+        pivots = _ideal_span(generators, basis_index(n, j), j).pivots
         c_j = catalecticant_matrix(f, j)
         rows = list(map(c_j.row, range(c_j.rows)))
         images = (sum(map(mul, row, v)) for _, v in pivots for row in rows)
         if any(images) or len(pivots) != c_j.cols - rank(c_j):
             return False
-    return len(_ideal_span(generators, n, d + 1)[1].pivots) == monomial_count(n, d + 1)
+    top = _ideal_span(generators, basis_index(n, d + 1), d + 1)
+    return len(top.pivots) == monomial_count(n, d + 1)

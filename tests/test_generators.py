@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from apolar import generators
-from apolar.complexes import cell_count_vector, complex_of
+from apolar.complexes import cell_count_vector, complex_of, minimal_nonfaces
 from apolar.errors import GuardExceeded
 from apolar.generators import (
     GeneratorSet,
@@ -18,8 +18,9 @@ from apolar.generators import (
     verify_generators,
 )
 from apolar.locus import enumerate_admissible_supports, support_conditions
-from apolar.monomials import enumerate_exponents
+from apolar.monomials import basis_index, enumerate_exponents, unit_power
 from apolar.parsing import parse_polynomial
+from apolar.perazzo import build_full_perazzo
 from apolar.polynomials import (
     annihilator_dimension,
     catalecticant_matrix,
@@ -311,7 +312,8 @@ def test_full_support_cubic_difference_in_ideal():
     # ... and the published degree-2 binomial lies in the ideal it generates
     from apolar.generators import _ideal_span
 
-    index, span = _ideal_span(gens.polynomials(), 2, 2)
+    index = basis_index(2, 2)
+    span = _ideal_span(gens.polynomials(), index, 2)
     binomial = [0] * len(index)
     binomial[index[(2, 0)]], binomial[index[(0, 2)]] = 1, -1
     assert not any(span.reduce(binomial))
@@ -547,6 +549,79 @@ def test_extraction_output_is_pinned_on_standard_supports(n, d, standard, expect
     assert _extraction_digest(forms) == expected
 
 
+# SHA-256 of extract_generators(build_full_perazzo(n, d)).polynomials() with
+# the subset guard at 2^17, the paper's own forms; (2, 6) needs the raised
+# guard.  Computed before extraction wrote its spans over the cells only.
+@pytest.mark.parametrize(
+    "n,d,expected",
+    [
+        (2, 3, "d6e662c2e804a65adb5ec67cc3cef73224ec7fcbbb6fc4b312a495f066788547"),
+        (2, 4, "37b8d0a3589831267396f5b490c4b67ec13df25b85f53e06f254362df9d2259a"),
+        (2, 5, "1f79e12ce4527d5f89419b0fc236d34162bedb674e49c50353afa85e77eff720"),
+        (3, 3, "186c221ab78c8a6b831341a33f5a10c9a51378819a4cffc1237ffdcc5a6f71f6"),
+        (2, 6, "1aa28312fb2736d28b769bf6c9bc45e5ef3f350031fb1ace42b2a04435acaa5f"),
+    ],
+)
+def test_extraction_output_is_pinned_on_full_perazzo_forms(n, d, expected):
+    gens = extract_generators(build_full_perazzo(n, d), max_subsets=1 << 17)
+    digest = hashlib.sha256()
+    for degree, p in gens.polynomials():
+        terms = [(e, str(c)) for e, c in sorted(p.terms.items())]
+        digest.update(repr((degree, terms)).encode())
+    assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "n,d,subsets", [(2, 6, 1 << 17), (3, 4, 1 << 24), (4, 3, 1 << 26)]
+)
+def test_default_guard_refuses_the_larger_full_perazzo_forms(n, d, subsets):
+    with pytest.raises(GuardExceeded) as refused:
+        extract_generators(build_full_perazzo(n, d))
+    assert str(refused.value) == (
+        f"subset count {subsets} exceeds the guard of 65536; "
+        "raise max_subsets to override"
+    )
+
+
+def test_pure_power_in_fourteen_variables():
+    # one cell per degree: the degree-7 span has one coordinate, x1^7, where
+    # the whole degree-7 basis has C(20, 7) = 77,520 monomials
+    gens = extract_generators(parse_polynomial("x1^6", 14))
+    assert gens.powers == frozenset({(1, 7)})
+    unused = frozenset(unit_power(14, k, 1) for k in range(2, 15))
+    assert gens.nonface_monomials == {1: unused}
+    assert gens.differences == {}
+
+
+def test_extraction_spans_only_the_cells(monkeypatch):
+    # every non-cell is a multiple of a kept minimal non-face, so extraction
+    # writes its degree-j span over the degree-j cells alone, and the degree
+    # d+1 span over the minimal non-faces of that degree
+    spans = []
+
+    class Recording(generators.Echelon):
+        def __init__(self, rows=()):
+            self.lengths = []
+            spans.append(self)
+            super().__init__(rows)
+
+        def add(self, row):
+            self.lengths.append(len(row))
+            return super().add(row)
+
+    monkeypatch.setattr(generators, "Echelon", Recording)
+    for f in (build_full_perazzo(2, 4), _paper_quadric()):
+        spans.clear()
+        extract_generators(f)
+        zeta = complex_of(f)
+        widths = [*cell_count_vector(zeta, f.degree)[1:]]
+        widths.append(len(minimal_nonfaces(zeta, f.degree + 1)))
+        assert len(spans) == len(widths)
+        assert any(span.lengths for span in spans)
+        for span, width in zip(spans, widths):
+            assert set(span.lengths) <= {width}
+
+
 # Criterion 7's (3, 3) draws: random_coefficient_one_standard at substream
 # (52002, k) for k = 5, 13, ..., 797.  Extraction misses one degree-2
 # relation with a coefficient 2 on these forms; why is still open, and this
@@ -568,7 +643,8 @@ def test_draw_109_misses_a_degree_2_relation():
     assert not verify_generators(f, gens)
     from apolar.generators import _ideal_span
 
-    index, span = _ideal_span(gens.polynomials(), 3, 2)
+    index = basis_index(3, 2)
+    span = _ideal_span(gens.polynomials(), index, 2)
     vector = [0] * len(index)
     for e, c in relation.terms.items():
         vector[index[e]] = int(c)

@@ -160,14 +160,13 @@ def _cmd_generators(args) -> dict:
 
 
 def _complex_poset(zeta, num_u_vars: int):
-    cells = sorted(zeta.cells, key=lambda m: (sum(m), m))
-    labels = [format_monomial(m, num_u_vars) for m in cells]
-    by_dimension: dict[str, list[str]] = {}
-    for m, label in zip(cells, labels):
-        by_dimension.setdefault(str(sum(m) - 1), []).append(label)
+    layers = zeta.layers[1:]  # layer k holds the k-cells
+    cells = [m for layer in layers for m in layer]
+    label = {m: format_monomial(m, num_u_vars) for m in cells}
+    by_dimension = {str(k): [label[m] for m in layer] for k, layer in enumerate(layers)}
     position = {m: i for i, m in enumerate(cells)}
     edges = sorted((position[a], i) for i, b in enumerate(cells) for a in facets(b))
-    return by_dimension, [[labels[a], labels[b]] for a, b in edges]
+    return by_dimension, [[label[cells[a]], label[cells[b]]] for a, b in edges]
 
 
 def _cmd_cw(args) -> dict | str:

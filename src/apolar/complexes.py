@@ -2,11 +2,11 @@
 
 A degree-k monomial is a (k-1)-cell; the complex of a polynomial is the
 divisor closure of its support, and the subcomplex order is monomial
-divisibility.  The complex is stored purely as its face poset: no geometric
-realization is kept, because every downstream query (skeleton counts, cell
-counts, minimal non-faces) reads only the poset.  A cell's facets (its
-divisors one degree lower) are the only neighbour rule, so no ambient
-monomial basis is walked.
+divisibility.  The complex is its face poset, kept graded: its cells by
+degree, because every downstream query (skeleton counts, cell counts,
+minimal non-faces, extraction's spans) reads one degree at a time.  No
+geometric realization is kept.  A cell's facets (its divisors one degree
+lower) are the only neighbour rule, so no ambient monomial basis is walked.
 """
 
 from __future__ import annotations
@@ -20,13 +20,20 @@ from .polynomials import GradedPolynomial
 
 @dataclass(frozen=True)
 class CellComplex:
-    """Divisor-closed frozenset of monomials; cell dimension is degree minus one."""
+    """Divisor-closed frozenset of monomials; cell dimension is degree minus one.
+    ``layers[j]``, derived from ``cells`` and not a field, lists the degree-j
+    cells in lex order; ``layers[0]`` holds the monomial 1 alone."""
 
     num_vars: int
     cells: frozenset
 
     def __post_init__(self):
         object.__setattr__(self, "cells", frozenset(self.cells))
+        by_degree = {0: [(0,) * self.num_vars]}
+        for m in sorted(self.cells):
+            by_degree.setdefault(sum(m), []).append(m)
+        layers = tuple(tuple(by_degree.get(j, ())) for j in range(max(by_degree) + 1))
+        object.__setattr__(self, "layers", layers)
 
 
 def facets(m: ExponentVector) -> list[ExponentVector]:
@@ -54,6 +61,9 @@ def divisor_closure(support: Iterable[ExponentVector], num_vars: int) -> CellCom
         raise ValueError("empty support")
     if any(len(m) != num_vars for m in support):
         raise ValueError("support monomial with wrong variable count")
+    for m in support:
+        if any(e < 0 for e in m):
+            raise ValueError(f"negative exponent in {m}")
     degrees = {sum(m) for m in support}
     if len(degrees) != 1:
         raise ValueError(f"inhomogeneous support: degrees {sorted(degrees)}")
@@ -74,32 +84,27 @@ def complex_of(f: GradedPolynomial) -> CellComplex:
 
 
 def skeleton_count(c: CellComplex, k: int) -> int:
-    """Number of cells of dimension at most ``k`` (degree at most ``k + 1``)."""
-    return sum(1 for m in c.cells if sum(m) <= k + 1)
+    """Number of cells of dimension at most ``k`` (degrees 1 to ``k + 1``)."""
+    return sum(map(len, c.layers[1 : max(k + 2, 1)]))
 
 
 def cell_count_vector(c: CellComplex, d: int) -> tuple[int, ...]:
-    """Cells per degree, ``(s_0, ..., s_d)`` with the convention ``s_0 = 1``."""
-    counts = [1] + [0] * d
-    for m in c.cells:
-        degree = sum(m)
-        if degree <= d:
-            counts[degree] += 1
-    return tuple(counts)
+    """Cells per degree, ``(s_0, ..., s_d)``, zero-padded, with ``s_0 = 1``."""
+    counts = tuple(map(len, c.layers[: max(d + 1, 0)]))
+    return counts + (0,) * (d + 1 - len(counts))
 
 
 def minimal_nonfaces(c: CellComplex, j: int) -> tuple[ExponentVector, ...]:
     """Degree-``j`` monomials outside the complex whose proper divisors of
     degree >= 1 all lie inside it, in lex order.  For ``j = 1`` these are the
-    unused variables.
+    unused variables; two degrees above the top there are none.
 
-    Each one is a degree-(j-1) cell (the monomial 1 when ``j = 1``) times a
+    Each one is a cell of layer j-1 (the monomial 1 when ``j = 1``) times a
     variable, and since the complex is divisor-closed it suffices that its
     facets are cells."""
     if j < 1:
         raise ValueError("degree must be at least 1")
-    cells, n = c.cells, c.num_vars
-    below = [m for m in cells if sum(m) == j - 1] if j > 1 else [(0,) * n]
+    below = c.layers[j - 1] if j <= len(c.layers) else ()
     candidates = {m[:k] + (e + 1,) + m[k + 1 :] for m in below for k, e in enumerate(m)}
-    out = [m for m in candidates - cells if cells.issuperset(facets(m))]
+    out = [m for m in candidates - c.cells if c.cells.issuperset(facets(m))]
     return tuple(sorted(out))

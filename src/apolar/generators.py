@@ -204,7 +204,7 @@ def extract_generators(
     nonfaces: dict[int, frozenset] = {}
     differences: dict[int, tuple] = {}
     for j in range(1, d + 1):
-        cells = sorted(m for m in zeta.cells if sum(m) == j)
+        cells = zeta.layers[j]
         full = len(cells) - rank(catalecticant_matrix(f, j))
         nf = minimal_nonfaces(zeta, j)
         if nf:

@@ -72,6 +72,15 @@ def test_closure_is_the_union_of_the_divisor_sets():
         assert divisor_closure(support, n).cells == cells
 
 
+def test_layers_are_the_cells_by_degree():
+    for n, d, support in _seeded_supports():
+        zeta = divisor_closure(support, n)
+        assert zeta.layers[0] == ((0,) * n,)
+        assert len(zeta.layers) == d + 1
+        for j in range(1, d + 1):
+            assert zeta.layers[j] == tuple(sorted(m for m in zeta.cells if sum(m) == j))
+
+
 def test_minimal_nonfaces_equal_the_ambient_walk():
     for n, d, support in _seeded_supports():
         zeta = divisor_closure(support, n)

@@ -1,5 +1,10 @@
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+import apolar
 from apolar.complexes import (
     CellComplex,
     cell_count_vector,
@@ -45,6 +50,35 @@ def test_complex_keeps_a_copy_of_its_cells():
     assert hash(zeta) == hash(CellComplex(2, frozenset({(1, 0), (0, 1)})))
 
 
+def test_layers_are_derived_not_a_field():
+    built = divisor_closure([(2, 1)], 2)
+    by_hand = CellComplex(2, [(2, 1), (1, 1), (2, 0), (0, 1), (1, 0)])
+    assert [f.name for f in fields(CellComplex)] == ["num_vars", "cells"]
+    assert built == by_hand and hash(built) == hash(by_hand)
+    assert by_hand.layers == (
+        ((0, 0),),
+        ((0, 1), (1, 0)),
+        ((1, 1), (2, 0)),
+        ((2, 1),),
+    )
+
+
+def test_only_complexes_py_reads_cells():
+    """The grading is read through ``layers``; the flat cell set stays
+    behind ``complexes.py``."""
+    package = Path(apolar.__file__).parent
+    readers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if path.name != "complexes.py"
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "cells"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert readers == []
+
+
 def test_rejects_bad_supports():
     with pytest.raises(ValueError):
         divisor_closure([], 2)
@@ -61,6 +95,12 @@ def test_skeleton_of_power_chain(d):
         assert skeleton_count(zeta, k) == k + 1
 
 
+@pytest.mark.parametrize("k", [-1, -3, -10])
+def test_skeleton_below_dimension_zero_is_empty(k):
+    zeta = divisor_closure([(3, 2), (1, 4)], 2)
+    assert skeleton_count(zeta, k) == 0
+
+
 def test_skeleton_counts_example():
     zeta = divisor_closure([(2, 1)], 2)
     assert skeleton_count(zeta, 0) == 2
@@ -72,6 +112,16 @@ def test_cell_count_vector_golden():
     assert cell_count_vector(divisor_closure([(4,)], 1), 4) == (1, 1, 1, 1, 1)
     f = graded_polynomial(2, {(2, 0): 1, (1, 1): 1})
     assert cell_count_vector(complex_of(f), 2) == (1, 2, 2)
+
+
+def test_cell_count_vector_every_length():
+    zeta = divisor_closure([(2, 1, 1), (0, 2, 2)], 3)
+    for d in range(9):
+        degrees = [sum(m) for m in zeta.cells]
+        assert cell_count_vector(zeta, d) == (1, *map(degrees.count, range(1, d + 1)))
+    assert cell_count_vector(zeta, 6) == (1, 3, 6, 5, 2, 0, 0)
+    for d in (-1, -2, -5):
+        assert cell_count_vector(zeta, d) == ()
 
 
 def test_is_subcomplex_golden():
@@ -118,6 +168,16 @@ def test_minimal_nonfaces_symmetric_cubic():
 def test_minimal_nonfaces_degree_one_is_unused_variables():
     zeta = divisor_closure([(2, 0, 1)], 3)
     assert minimal_nonfaces(zeta, 1) == ((0, 1, 0),)
+
+
+def test_minimal_nonfaces_above_the_top_and_across_a_gap():
+    zeta = divisor_closure([(2, 0), (1, 1), (0, 2)], 2)
+    assert minimal_nonfaces(zeta, 3) == tuple(enumerate_exponents(2, 3))
+    assert minimal_nonfaces(zeta, 4) == ()
+    gapped = CellComplex(2, {(3, 0)})
+    assert minimal_nonfaces(gapped, 4) == ((4, 0),)
+    assert minimal_nonfaces(gapped, 1) == ((0, 1), (1, 0))
+    assert minimal_nonfaces(gapped, 2) == minimal_nonfaces(gapped, 3) == ()
 
 
 def test_cell_counts_dominate_hilbert_vector():

@@ -54,6 +54,10 @@ CHECKS = {
         lambda: divisor_closure([(1, 0)], 3),
         "support monomial with wrong variable count",
     ),
+    "divisor_closure-negative-exponent": (
+        lambda: divisor_closure([(-1, 2)], 2),
+        "negative exponent in (-1, 2)",
+    ),
     "complex_of-zero": (lambda: complex_of(ZERO), "zero polynomial"),
     "minimal_nonfaces-degree-0": (
         lambda: minimal_nonfaces(complex_of(QUADRIC), 0),

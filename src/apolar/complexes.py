@@ -11,29 +11,36 @@ lower) are the only neighbour rule, so no ambient monomial basis is walked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .monomials import ExponentVector
 from .polynomials import GradedPolynomial
+from .values import Record
 
 
-@dataclass(frozen=True)
-class CellComplex:
-    """Divisor-closed frozenset of monomials; cell dimension is degree minus one.
-    ``layers[j]``, derived from ``cells`` and not a field, lists the degree-j
-    cells in lex order; ``layers[0]`` holds the monomial 1 alone."""
+class CellComplex(Record):
+    """Frozenset of monomials; cell dimension is degree minus one.  Each cell
+    has ``num_vars`` nonnegative entries and degree >= 1; divisor closure is
+    not checked.  ``layers[j]``, derived from ``cells`` and not a field, lists
+    the degree-j cells in lex order; ``layers[0]`` holds the monomial 1 alone."""
 
-    num_vars: int
-    cells: frozenset
+    __slots__ = ("num_vars", "cells", "layers")
+    _fields = ("num_vars", "cells")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(self.cells))
-        by_degree = {0: [(0,) * self.num_vars]}
-        for m in sorted(self.cells):
-            by_degree.setdefault(sum(m), []).append(m)
+    def __init__(self, num_vars: int, cells: Iterable[ExponentVector]):
+        cells = frozenset(cells)
+        by_degree = {0: [(0,) * num_vars]}
+        for m in sorted(cells):
+            degree = sum(m)
+            if len(m) != num_vars:
+                raise ValueError(f"cell {m} does not have {num_vars} entries")
+            if not degree:
+                raise ValueError(f"cell {m} has degree 0")
+            if min(m) < 0:
+                raise ValueError(f"cell {m} has a negative exponent")
+            by_degree.setdefault(degree, []).append(m)
         layers = tuple(tuple(by_degree.get(j, ())) for j in range(max(by_degree) + 1))
-        object.__setattr__(self, "layers", layers)
+        self._set(num_vars, cells, layers)
 
 
 def facets(m: ExponentVector) -> list[ExponentVector]:

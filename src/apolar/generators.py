@@ -29,7 +29,6 @@ maps have coefficients ±1, so its operators are ``int`` polynomials, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping
@@ -40,12 +39,12 @@ from .linalg import Echelon, rank
 from .monomials import ExponentVector, basis_index, enumerate_exponents
 from .monomials import monomial_count, unit_power
 from .polynomials import GradedPolynomial, catalecticant_matrix
+from .values import Record
 
 _NO_TERMS: Mapping = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Record):
     """Degree-structured generators of an annihilator ideal.
 
     ``powers`` holds (variable index, exponent) pairs, 1-based; nonface
@@ -53,23 +52,23 @@ class GeneratorSet:
     copies of the mappings passed in, with frozenset and tuple values.
     """
 
-    num_vars: int
-    socle_degree: int
-    powers: frozenset
-    nonface_monomials: Mapping
-    differences: Mapping
+    _fields = ("num_vars", "socle_degree", "powers", "nonface_monomials", "differences")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        nf = {j: frozenset(m) for j, m in self.nonface_monomials.items()}
-        pairs = {j: tuple(map(tuple, p)) for j, p in self.differences.items()}
-        object.__setattr__(self, "powers", frozenset(self.powers))
-        object.__setattr__(self, "nonface_monomials", MappingProxyType(nf))
-        object.__setattr__(self, "differences", MappingProxyType(pairs))
+    def __init__(self, num_vars, socle_degree, powers, nonface_monomials, differences):
+        nf = {j: frozenset(m) for j, m in nonface_monomials.items()}
+        pairs = {j: tuple(map(tuple, p)) for j, p in differences.items()}
+        nf, pairs = MappingProxyType(nf), MappingProxyType(pairs)
+        self._set(num_vars, socle_degree, frozenset(powers), nf, pairs)
 
     def __hash__(self):
         nf = frozenset(self.nonface_monomials.items())
         pairs = frozenset(self.differences.items())
         return hash((self.num_vars, self.socle_degree, self.powers, nf, pairs))
+
+    def __reduce__(self):
+        nf, pairs = dict(self.nonface_monomials), dict(self.differences)
+        return GeneratorSet, (self.num_vars, self.socle_degree, self.powers, nf, pairs)
 
     def polynomials(self) -> list[tuple[int, GradedPolynomial]]:
         """All generators as (degree, operator polynomial), deterministic order.

@@ -17,30 +17,31 @@ outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import lcm
 from typing import Sequence
 
+from .values import Record
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(Record):
     """Dense rational matrix; ``entries``: a row-major tuple of ints and Fractions."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence):
+        entries = tuple(entries)
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
+        object.__setattr__(self, "rows", rows)  # a hot path: no _set call
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]

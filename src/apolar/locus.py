@@ -23,7 +23,6 @@ form, the discrepancy is reported verbatim, never patched.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import itemgetter, or_
@@ -36,23 +35,26 @@ from .monomials import (
     lift_image,
     monomial_count,
 )
+from .values import Record
 
 
-@dataclass(frozen=True)
-class SupportConditions:
+class SupportConditions(Record):
     """The three admissibility predicates on a support set."""
 
-    covers_all_variables: bool
-    unique_derivative_source: bool
-    no_cross_collision: bool
+    _fields = ("covers_all_variables", "unique_derivative_source", "no_cross_collision")
+    __slots__ = _fields
+
+    def __init__(
+        self, covers_all_variables, unique_derivative_source, no_cross_collision
+    ):
+        self._set(covers_all_variables, unique_derivative_source, no_cross_collision)
 
     @property
     def all_hold(self) -> bool:
-        return all(astuple(self))
+        return all(self._values)
 
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
+class ComponentDescriptor(Record):
     """An admissible support together with its derived exponent set.
 
     Two dimension counts are reported: one from the size of the support
@@ -60,14 +62,10 @@ class ComponentDescriptor:
     two can differ and neither is silently preferred.
     """
 
-    support: tuple
-    derived_set: tuple
-    dim_support: int
-    dim_derived: int
+    __slots__ = _fields = ("support", "derived_set", "dim_support", "dim_derived")
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "derived_set", tuple(self.derived_set))
+    def __init__(self, support, derived_set, dim_support: int, dim_derived: int):
+        self._set(tuple(support), tuple(derived_set), dim_support, dim_derived)
 
 
 def _derivative_table(support, num_vars: int) -> tuple[dict, list[int]]:
@@ -147,16 +145,14 @@ def enumerate_admissible_supports(
     return out
 
 
-@dataclass(frozen=True)
-class ProjectionMap:
+class ProjectionMap(Record):
     """A 0/1 matrix with at most one 1 per column, stored as column images:
     source column c goes to target row ``images[c]``, or to zero on None."""
 
-    rows: int
-    images: tuple
+    __slots__ = _fields = ("rows", "images")
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+    def __init__(self, rows: int, images):
+        self._set(rows, tuple(images))
 
     @property
     def cols(self) -> int:

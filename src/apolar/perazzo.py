@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import DEFAULT_MATRIX_GUARD, check_guard
@@ -36,6 +35,7 @@ from .polynomials import (
     is_standard,
 )
 from .rng import substream
+from .values import Record
 
 RESAMPLE_CAP = 50
 
@@ -79,8 +79,7 @@ def full_perazzo_hilbert(
     return hilbert_vector(build_full_perazzo(n, d))
 
 
-@dataclass(frozen=True)
-class Degree2Census:
+class Degree2Census(Record):
     """Classification of a canonical degree-2 annihilator basis.
 
     Greedy and deterministic: first every annihilating monomial, then
@@ -89,14 +88,14 @@ class Degree2Census:
     is the operator count minus ``h2``, the rank of C_2.
     """
 
-    monomial_count: int
-    binomial_count: int
-    other_count: int
-    total_dim: int
-    h2: int
+    _fields = ("monomial_count", "binomial_count", "other_count", "total_dim", "h2")
+    __slots__ = _fields
+
+    def __init__(self, monomial_count, binomial_count, other_count, total_dim, h2):
+        self._set(monomial_count, binomial_count, other_count, total_dim, h2)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values))
 
 
 def degree2_census(f: GradedPolynomial) -> Degree2Census:

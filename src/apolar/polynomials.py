@@ -23,7 +23,6 @@ coefficient-one combinatorics of this package is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -35,12 +34,12 @@ from typing import Iterable, Mapping
 
 from .linalg import RationalMatrix, kernel_basis, rank
 from .monomials import ExponentVector, basis_index, enumerate_exponents, monomial_count
+from .values import Record
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, eq=True)
-class GradedPolynomial:
+class GradedPolynomial(Record):
     """Homogeneous polynomial: ``terms`` maps exponent tuples to nonzero
     rationals, each an ``int`` or a ``Fraction`` (they hash and compare
     alike).  An empty map is the zero polynomial of the given graded slot.
@@ -48,22 +47,21 @@ class GradedPolynomial:
     Every term must have ``num_vars`` nonnegative entries summing to
     ``degree``; unlike :func:`graded_polynomial`, nothing is normalized."""
 
-    num_vars: int
-    degree: int
-    terms: Mapping
+    __slots__ = _fields = ("num_vars", "degree", "terms")
 
-    def __post_init__(self):
-        terms = MappingProxyType(dict(self.terms))
+    def __init__(self, num_vars: int, degree: int, terms: Mapping):
+        terms = MappingProxyType(dict(terms))
         for exps, coeff in terms.items():
-            if len(exps) != self.num_vars or sum(exps) != self.degree:
+            if len(exps) != num_vars or sum(exps) != degree:
                 raise ValueError(
-                    f"term {exps} is not of degree {self.degree} "
-                    f"in {self.num_vars} variables"
+                    f"term {exps} is not of degree {degree} in {num_vars} variables"
                 )
             if min(exps, default=0) < 0:
                 raise ValueError(f"term {exps} has a negative exponent")
             if not coeff:
                 raise ValueError(f"term {exps} has a zero coefficient")
+        object.__setattr__(self, "num_vars", num_vars)  # a hot path: no _set call
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", terms)
 
     def __hash__(self):

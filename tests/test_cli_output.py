@@ -1,6 +1,7 @@
 """The CLI's fixed cost per command: what importing it loads, what a serial
 call leaves behind, and the JSON emitter that writes every document."""
 
+import ast
 import contextlib
 import gc
 import io
@@ -26,11 +27,15 @@ SERIAL_CALLS = [
     ["hilbert", "--poly", "x1^2 + x1*x2", "--nvars", "2"],
 ]
 
-# a fresh interpreter: which modules `import apolar.cli` loads, and which the
-# serial calls add after it (the first call also builds the parser)
+# a fresh interpreter: which of the introspection modules behind `dataclasses`
+# `import apolar.cli` loads, and which modules the serial calls add after it
+# (the first call also builds the parser)
 BOUNDARY_SCRIPT = """
 import contextlib, io, json, sys
+start = set(sys.modules)
 import apolar.cli
+heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+heavy_modules = sorted(heavy & (set(sys.modules) - start))
 pool = {"multiprocessing", "concurrent.futures.process"}
 pool_modules = sorted(pool & set(sys.modules))
 before = set(sys.modules)
@@ -38,7 +43,8 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(apolar.cli.main(argv))
-print(json.dumps([pool_modules, sorted(set(sys.modules) - before), codes]))
+added = sorted(set(sys.modules) - before)
+print(json.dumps([heavy_modules, pool_modules, added, codes]))
 """
 
 
@@ -51,10 +57,28 @@ def test_serial_commands_load_no_module_after_import():
         env=env,
         check=True,
     )
-    pool_modules, added, codes = json.loads(proc.stdout)
+    heavy_modules, pool_modules, added, codes = json.loads(proc.stdout)
+    assert heavy_modules == []
     assert pool_modules == []
     assert added == []
     assert codes == [0] * len(SERIAL_CALLS)
+
+
+def test_no_module_imports_dataclasses():
+    """The value types are ``values.Record`` slots, so the import of the CLI
+    stays clear of ``dataclasses`` and the ``inspect`` it pulls in."""
+    importers = []
+    for path in sorted(Path(apolar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "dataclasses" in names:
+                importers.append(path.name)
+    assert importers == []
 
 
 @pytest.mark.parametrize("argv", SERIAL_CALLS, ids=lambda argv: argv[0])

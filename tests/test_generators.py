@@ -1,8 +1,6 @@
 import ast
-import dataclasses
 import hashlib
 import itertools
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,8 +108,9 @@ def test_constant_generator_breaks_verification():
 
 def test_generator_set_is_immutable():
     gens = extract_generators(_paper_quadric())
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         gens.powers = frozenset()
+    assert gens == extract_generators(_paper_quadric())
     with pytest.raises(TypeError):
         gens.nonface_monomials[3] = frozenset()
     with pytest.raises(TypeError):
@@ -225,7 +224,9 @@ def _scale_pairs(gens):
         )
         for j, pairs in gens.differences.items()
     }
-    return dataclasses.replace(gens, differences=differences)
+    return GeneratorSet(
+        gens.num_vars, gens.socle_degree, gens.powers, gens.nonface_monomials, differences
+    )
 
 
 def test_scaled_difference_pairs_get_the_verdict_of_extraction():

@@ -8,6 +8,7 @@ import pytest
 
 from apolar.cli import main
 from apolar.complexes import (
+    CellComplex,
     complex_of,
     divisor_closure,
     is_subcomplex,
@@ -57,6 +58,20 @@ CHECKS = {
     "divisor_closure-negative-exponent": (
         lambda: divisor_closure([(-1, 2)], 2),
         "negative exponent in (-1, 2)",
+    ),
+    # without these checks the monomial 1 would enter layer 0 twice, and
+    # (-1, 2) layer 1
+    "CellComplex-degree-0-cell": (
+        lambda: CellComplex(2, {(0, 0), (1, 0)}),
+        "cell (0, 0) has degree 0",
+    ),
+    "CellComplex-negative-exponent": (
+        lambda: CellComplex(2, {(-1, 2), (1, 0)}),
+        "cell (-1, 2) has a negative exponent",
+    ),
+    "CellComplex-cell-length": (
+        lambda: CellComplex(2, {(1, 0), (1, 0, 0)}),
+        "cell (1, 0, 0) does not have 2 entries",
     ),
     "complex_of-zero": (lambda: complex_of(ZERO), "zero polynomial"),
     "minimal_nonfaces-degree-0": (

@@ -235,9 +235,7 @@ def _cmd_locus_stcheck(args) -> dict:
     ones = coefficient_one_poly(f.num_vars, f.support())
     return {
         "support": [format_monomial(m, args.uvars) for m in f.support()],
-        "covers_all_variables": conditions.covers_all_variables,
-        "unique_derivative_source": conditions.unique_derivative_source,
-        "no_cross_collision": conditions.no_cross_collision,
+        **conditions.as_dict(),
         "all_conditions_hold": conditions.all_hold,
         "standard_linear_algebra": is_standard(f),
         "standard_linear_algebra_coefficient_one": is_standard(ones),

@@ -61,15 +61,6 @@ class GeneratorSet(Record):
         nf, pairs = MappingProxyType(nf), MappingProxyType(pairs)
         self._set(num_vars, socle_degree, frozenset(powers), nf, pairs)
 
-    def __hash__(self):
-        nf = frozenset(self.nonface_monomials.items())
-        pairs = frozenset(self.differences.items())
-        return hash((self.num_vars, self.socle_degree, self.powers, nf, pairs))
-
-    def __reduce__(self):
-        nf, pairs = dict(self.nonface_monomials), dict(self.differences)
-        return GeneratorSet, (self.num_vars, self.socle_degree, self.powers, nf, pairs)
-
     def polynomials(self) -> list[tuple[int, GradedPolynomial]]:
         """All generators as (degree, operator polynomial), deterministic order.
 

@@ -112,7 +112,7 @@ def rank(m: RationalMatrix, at_most: int | None = None) -> int:
     tall = m.rows >= m.cols
     lines = map(m.row, range(m.rows)) if tall else map(m.column, range(m.cols))
     span = Echelon()
-    for line in lines:
+    for line in filter(any, lines):  # a zero line adds no pivot
         if len(span.pivots) == stop:
             break
         span.add(line)

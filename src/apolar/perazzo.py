@@ -94,9 +94,6 @@ class Degree2Census(Record):
     def __init__(self, monomial_count, binomial_count, other_count, total_dim, h2):
         self._set(monomial_count, binomial_count, other_count, total_dim, h2)
 
-    def as_dict(self) -> dict:
-        return dict(zip(self._fields, self._values))
-
 
 def degree2_census(f: GradedPolynomial) -> Degree2Census:
     """Count monomial, binomial and leftover generators of the degree-2

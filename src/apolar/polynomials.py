@@ -64,12 +64,6 @@ class GradedPolynomial(Record):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", terms)
 
-    def __hash__(self):
-        return hash((self.num_vars, self.degree, frozenset(self.terms.items())))
-
-    def __reduce__(self):
-        return GradedPolynomial, (self.num_vars, self.degree, dict(self.terms))
-
     def is_zero(self) -> bool:
         return not self.terms
 

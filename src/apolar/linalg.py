@@ -102,17 +102,18 @@ class Echelon:
 
 
 def rank(m: RationalMatrix, at_most: int | None = None) -> int:
-    """Rank over the rationals, computed exactly: the echelon of the lines of
-    the longer side, stopped once the pivot count reaches min(rows, cols), or
-    the nonnegative cap ``at_most`` when it is smaller.  A capped rank is
-    min(rank, at_most), still exact: the pivots found are independent."""
+    """Rank over the rationals, computed exactly: the echelon of the nonzero
+    lines of the longer side (a zero line adds no pivot), stopped once the
+    pivot count reaches min(rows, cols), or the nonnegative cap ``at_most``
+    when it is smaller.  A capped rank is min(rank, at_most), still exact:
+    the pivots found are independent."""
     stop = min(m.rows, m.cols) if at_most is None else min(m.rows, m.cols, at_most)
     if stop < 0:
         raise ValueError(f"rank cap must be nonnegative, got {at_most}")
     tall = m.rows >= m.cols
     lines = map(m.row, range(m.rows)) if tall else map(m.column, range(m.cols))
     span = Echelon()
-    for line in filter(any, lines):  # a zero line adds no pivot
+    for line in filter(any, lines):
         if len(span.pivots) == stop:
             break
         span.add(line)

@@ -7,8 +7,7 @@ other slot is derived state.  A read-only mapping field (``MappingProxyType``)
 hashes as the frozenset of its items and pickles as a ``dict`` copy, which
 the constructor wraps again; other fields hash and pickle as they are.
 ``RationalMatrix`` and ``GradedPolynomial`` write their slots directly: their
-constructors are hot, and ``_set`` costs about 0.2 µs more per construction,
-2-7% of a conjecture pass.
+constructors are hot, and ``_set`` costs about 0.3 µs more per construction.
 """
 
 from operator import attrgetter

@@ -157,6 +157,24 @@ def full_perazzo_reference(n, d):
     return tuple(1 if k in (0, d) else tau[k] + tau[d - k] for k in range(d + 1))
 
 
+def family_dimension(support):
+    """Dimension of the GL-saturated family on a support S of degree-d
+    monomials: rank(span{x_i d_j f} + span S) - 1, where f is the sum of
+    the monomials of S and i, j run over all variables.  Differentiates
+    and ranks here, with nothing from the library."""
+    n = len(support[0])
+    vectors = [{s: 1} for s in support]
+    for i, j in product(range(n), repeat=2):
+        image = {}
+        for s in support:
+            if s[j]:
+                m = tuple(e + (k == i) - (k == j) for k, e in enumerate(s))
+                image[m] = image.get(m, 0) + s[j]
+        vectors.append(image)
+    monomials = sorted(set().union(*vectors))
+    return row_reduce_rank([[v.get(m, 0) for m in monomials] for v in vectors]) - 1
+
+
 def projection_images(n, d):
     """The column images of the two projection maps between ambient Perazzo
     spaces, evaluated vector by vector as their docstrings state them.

@@ -119,6 +119,27 @@ def test_capped_rank_stops_at_the_cap(monkeypatch):
         assert len(calls) == at_most
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+def test_rank_adds_only_nonzero_lines(monkeypatch, transpose):
+    calls = []
+    add = Echelon.add
+
+    def counting_add(self, row):
+        calls.append(tuple(row))
+        return add(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counting_add)
+    # 1 x 40 with its only nonzero entry last, or 40 x 1 with it in the last row
+    data = [[0] * 39 + [7]]
+    if transpose:
+        data = [list(col) for col in zip(*data)]
+    assert rank(_from_rows(data)) == 1
+    assert calls == [(7,)]
+    calls.clear()
+    assert rank(_from_rows([[0] * 5] * 3 if transpose else [[0] * 3] * 5)) == 0
+    assert calls == []
+
+
 def test_rank_refuses_a_negative_cap():
     with pytest.raises(ValueError, match="rank cap must be nonnegative, got -1"):
         rank(_from_rows([[1, 0], [0, 1]]), -1)

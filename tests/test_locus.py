@@ -20,7 +20,7 @@ from apolar.monomials import basis_index, enumerate_exponents, monomial_count
 from apolar.parsing import format_polynomial
 from apolar.perazzo import build_full_perazzo
 from apolar.polynomials import coefficient_one_poly, is_standard
-from oracles import lower_at, projection_images
+from oracles import family_dimension, lower_at, projection_images
 
 
 def test_power_sum_support_is_admissible():
@@ -205,6 +205,62 @@ def test_full_perazzo_support_catalog_dimensions(n, d):
                                   ("dim_derived", derived_min)):
         values = [getattr(c, field) for c in comps]
         assert (min(values), values.count(min(values))) == (least, reach)
+
+
+# The family dimension of a support S is that of the GL-saturated family on
+# it, rank(span{x_i d_j f} + span S) - 1 (oracles.family_dimension).  At
+# (4,2) every catalog support has the Perazzo support's 9.  At (5,3) the
+# Perazzo support has 18, and one scan of the whole catalog found 130
+# supports below it, all at 17: each is written as a mask over the lex basis
+# enumerate_exponents(5, 3), bit k for its k-th cubic, and the digest is
+# that of repr(sorted(supports)).
+SMALLER_FAMILIES_AT_5_3 = """
+    80020042 8000042 40010082 4000082 80001102 420102 80020102 8000102
+    1001002 40002002 404002 80004002 810002 1020002 40010014 4000014
+    40000484 110084 40010084 4000084 80020104 8000104 800404 102004
+    40002004 80004004 810004 1020004 100008050 2040050 100040050 10000050
+    100040110 10000110 40000810 2004010 100004010 1008010 210010 1040010
+    40000420 80001020 100008020 110020 40010020 420020 80020020 2040020
+    100040020 4000020 8000020 10000020 1000400c0 100000c0 80000840 2002040
+    100002040 808040 220040 840040 200480 100880 40000880 100004080 210080
+    1040080 400900 80000900 201100 100002100 220100 840100 20009400
+    200009400 200041400 10001400 20004400 200004400 200028400 8008400
+    10020400 8040400 20008800 200008800 200040800 800800 1000800 10000800
+    20003000 200003000 200019000 4009000 10011000 4041000 200022000 202000
+    1002000 8002000 200014000 204000 804000 4004000 8018000 4028000
+    22500000 202500000 10500000 120500000 21100000 201100000 a100000
+    a2100000 108100000 90100000 22200000 202200000 10200000 120200000
+    20c00000 200c00000 6400000 62400000 104400000 50400000 8800000 a0800000
+    5000000 61000000 86000000 4a000000
+"""
+SMALLER_FAMILIES_DIGEST = "43c254b9d52d0eb049a4b9642842da77da4de17c775fb517a507aad30927b358"
+
+
+def test_full_perazzo_support_family_dimension_at_4_2():
+    f = build_full_perazzo(2, 2)
+    assert family_dimension(f.support()) == 9
+    comps = enumerate_admissible_supports(4, 2)
+    assert [family_dimension(c.support) for c in comps] == [9] * 10
+
+
+def test_supports_with_a_smaller_family_than_full_perazzo_at_5_3():
+    # a discrepancy with the paper's minimal components left visible, as
+    # for dim_support and dim_derived
+    f = build_full_perazzo(2, 3)
+    assert family_dimension(f.support()) == 18
+    basis = enumerate_exponents(5, 3)
+    supports = [
+        tuple(m for k, m in enumerate(basis) if int(mask, 16) >> k & 1)
+        for mask in SMALLER_FAMILIES_AT_5_3.split()
+    ]
+    assert len(supports) == 130
+    assert hashlib.sha256(repr(sorted(supports)).encode()).hexdigest() == (
+        SMALLER_FAMILIES_DIGEST
+    )
+    assert ((0, 0, 2, 0, 1), (0, 1, 0, 1, 1), (1, 0, 0, 0, 2)) in supports
+    for support in supports:
+        assert support_conditions(support, 5).all_hold
+        assert family_dimension(support) == 17
 
 
 def test_component_keeps_a_copy_of_its_support():

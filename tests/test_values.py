@@ -3,12 +3,15 @@ fields, hashed alike when equal, printed as ``Name(field=value, ...)``, built
 by keyword with their parameter names, and round-tripped by ``pickle`` and
 ``copy.deepcopy``."""
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import apolar
 from apolar.complexes import CellComplex, complex_of
 from apolar.generators import GeneratorSet, extract_generators
 from apolar.linalg import RationalMatrix
@@ -20,7 +23,7 @@ from apolar.locus import (
     support_conditions,
     u_elimination_matrix,
 )
-from apolar.perazzo import Degree2Census, degree2_census
+from apolar.perazzo import Degree2Census, build_full_perazzo, degree2_census
 from apolar.polynomials import GradedPolynomial, graded_polynomial
 
 F = graded_polynomial(2, {(2, 0): 1, (1, 1): 1})
@@ -157,3 +160,54 @@ def test_pickle_and_deepcopy_round_trip(name):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value)
+
+
+@ROWS
+def test_as_dict_maps_the_fields_to_their_values(name):
+    make, _, _ = VALUES[name]
+    value = make()
+    assert value.as_dict() == {field: getattr(value, field) for field in value._fields}
+    assert list(value.as_dict()) == list(value._fields)
+
+
+def test_only_the_base_defines_the_generic_methods():
+    """Equality, hash, pickling and ``as_dict`` are ``values.Record``'s
+    alone: no value type keeps its own copy of a rule."""
+    generic = {"__eq__", "__hash__", "__reduce__", "as_dict"}
+    found = []
+    for path in sorted(Path(apolar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                found += [(path.name, node.name, item.name) for item in node.body
+                          if isinstance(item, ast.FunctionDef) and item.name in generic]
+    assert sorted(found) == [("values.py", "Record", name) for name in sorted(generic)]
+
+
+def _reversed(mapping):
+    return dict(reversed(mapping.items()))
+
+
+def test_mapping_fields_hash_by_their_items():
+    # the hash is the one GradedPolynomial's own __hash__ gave before the
+    # base owned the rule
+    p = build_full_perazzo(2, 4)
+    twin = GradedPolynomial(p.num_vars, p.degree, _reversed(p.terms))
+    assert list(twin.terms) != list(p.terms)
+    assert twin == p and hash(twin) == hash(p)
+    assert hash(p) == hash((p.num_vars, p.degree, frozenset(p.terms.items())))
+
+
+def test_generator_set_mapping_fields_hash_by_their_items():
+    # the hash is the one GeneratorSet's own __hash__ gave before the base
+    # owned the rule
+    r, s = GradedPolynomial(2, 3, {(2, 1): 1}), GradedPolynomial(2, 3, {(1, 2): 1})
+    hand_built = GeneratorSet(2, 3, {(1, 4)}, {2: {(0, 2)}, 3: {(3, 0)}},
+                              {2: [(P, Q)], 3: [(r, s)]})
+    for g in (extract_generators(build_full_perazzo(2, 4)), hand_built):
+        nf, pairs = g.nonface_monomials, g.differences
+        twin = GeneratorSet(g.num_vars, g.socle_degree, g.powers, _reversed(nf),
+                            _reversed(pairs))
+        assert list(twin.nonface_monomials) != list(nf)
+        assert twin == g and hash(twin) == hash(g)
+        assert hash(g) == hash((g.num_vars, g.socle_degree, g.powers,
+                                frozenset(nf.items()), frozenset(pairs.items())))

@@ -42,6 +42,7 @@ from .complexes import (
 from .errors import (
     DEFAULT_ENUMERATION_GUARD,
     DEFAULT_MATRIX_GUARD,
+    DEFAULT_SUBSET_GUARD,
     GuardExceeded,
 )
 from .generators import extract_generators, verify_generators
@@ -135,7 +136,7 @@ def _cmd_ann(args) -> dict:
 
 def _cmd_generators(args) -> dict:
     f = _parse_poly_args(args)
-    gens = extract_generators(f)
+    gens = extract_generators(f, args.max_subsets)
     return {
         "powers": [
             format_monomial(unit_power(f.num_vars, k, e), args.uvars).upper()
@@ -312,7 +313,8 @@ COMMANDS = (
     (("ann",), "canonical basis of one annihilator degree",
      (_POLY, _CONVENTION, (_option("--degree"),)), _cmd_ann),
     (("generators",), "structured generators (coefficient-one input only)",
-     (_POLY,), _cmd_generators),
+     (_POLY, (_option("--max-subsets", type=int, default=DEFAULT_SUBSET_GUARD),)),
+     _cmd_generators),
     (("cw",), "cell complex counts and minimal non-faces",
      (_POLY, (_option("--export", choices=("json", "dot"), default=None),)), _cmd_cw),
     (("locus",), "standard locus analysis", (), None),

@@ -19,8 +19,9 @@ membership is unchanged, as span(U + B) = span(U) + (B projected off U).
 A degree stops once its span has (cells - rank C_j) pivots.  A degree
 saturated before its image scan skips it, and its subset guard reads the
 cell count, which equals the nonzero columns of C_j.  ``verify_generators``
-checks degree-wise, over the whole degree-j basis and independently of
-extraction, that a generator set generates the whole annihilator.
+checks degree-wise, independently of extraction, that a generator set
+generates the whole annihilator; it uses the same lemma with U the
+monomials that the set's own one-term generators divide.
 
 Every generator is built by ``_operator`` from term maps.  Extraction's
 maps have coefficients ±1, so its operators are ``int`` polynomials, and
@@ -29,6 +30,7 @@ maps have coefficients ±1, so its operators are ``int`` polynomials, and
 
 from __future__ import annotations
 
+from math import lcm
 from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping
@@ -36,8 +38,7 @@ from typing import Mapping
 from .complexes import complex_of, minimal_nonfaces
 from .errors import DEFAULT_SUBSET_GUARD, check_guard
 from .linalg import Echelon, rank
-from .monomials import ExponentVector, basis_index, enumerate_exponents
-from .monomials import monomial_count, unit_power
+from .monomials import ExponentVector, enumerate_exponents, unit_power
 from .polynomials import GradedPolynomial, catalecticant_matrix
 from .values import Record
 
@@ -120,7 +121,9 @@ def _ideal_span(generators: list, index: Mapping, j: int) -> Echelon:
 
 def _check_subsets(cells: int, max_subsets: int) -> None:
     """Guard a scan of the 2^cells subsets; with no cells there is none."""
-    check_guard("subset count", cells and 1 << cells, max_subsets, "max_subsets")
+    check_guard(
+        "subset count", cells and 1 << cells, max_subsets, "--max-subsets / max_subsets"
+    )
 
 
 def contraction_image_classes(
@@ -134,40 +137,47 @@ def contraction_image_classes(
     monomials that do not annihilate ``f``); two belong to the same class
     exactly when they contract ``f`` to the same polynomial.  The image of
     the degree-j monomial X^c is column c of the catalecticant C_j, so a
-    support's image is the sum of its columns; a Gray-code scan adds or
-    subtracts one column per subset.  The subset guard counts the nonzero
-    columns, the degree-j cells of the complex of ``f``.  Classes and
-    members come back sorted, so the result is deterministic.
+    support's image is the sum of its columns.  Each nonzero column, scaled
+    by the lcm of the denominators, is packed into one ``int`` as signed
+    base-2^w digits, one per nonzero row, with 2^w > B for B the largest
+    row sum of absolute values.  In every row two supports' sums differ by
+    at most B, a signed sum over the cells in only one of them, so their
+    keys are equal exactly when their images are: at the lowest digit
+    where the images differ, the keys' difference would need a nonzero
+    multiple of 2^w.  The scan walks the supports depth first in lex
+    order, adding one column per support, so each class fills up sorted
+    and the classes come in the order of their first members.  The subset
+    guard counts the nonzero columns, the degree-j cells of the complex of
+    ``f``.
     """
     if not 1 <= j <= f.degree:
         raise ValueError(f"degree {j} outside 1..{f.degree}")
     c_j = catalecticant_matrix(f, j)
-    cells, images = [], []
+    cells, columns = [], []
     for c, m in enumerate(enumerate_exponents(f.num_vars, j)):
-        column = [(r, x) for r, x in enumerate(c_j.column(c)) if x]
-        if column:
+        column = c_j.column(c)
+        if any(column):
             cells.append(m)
-            images.append(column)
+            columns.append(column)
     _check_subsets(len(cells), max_subsets)
-    groups: dict[tuple, list[int]] = {}
-    running = [0] * c_j.rows
-    gray = 0
-    for i in range(1, 1 << len(cells)):
-        bit = (i & -i).bit_length() - 1
-        gray ^= 1 << bit
-        if gray >> bit & 1:
-            for r, x in images[bit]:
-                running[r] += x
-        else:
-            for r, x in images[bit]:
-                running[r] -= x
-        groups.setdefault(tuple(running), []).append(gray)
-    supports = [()]  # supports[mask]: the cells of the set bits, in order
-    for m in cells:
-        supports += [s + (m,) for s in supports]
-    classes = [sorted(supports[mask] for mask in masks) for masks in groups.values()]
-    classes.sort(key=lambda cls: cls[0])
-    return classes
+    rows = [row for row in zip(*columns) if any(row)]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    width = int(scale * max((sum(map(abs, row)) for row in rows), default=0)).bit_length()
+    keys = [
+        sum(int(x * scale) << width * r for r, x in enumerate(column) if x)
+        for column in zip(*rows)
+    ]
+    groups: dict[int, list] = {}
+    last = len(cells)
+    stack = [(0, (), 0)] if cells else []  # (key, support, cell to add to it)
+    while stack:
+        key, support, i = stack.pop()
+        image, member = key + keys[i], support + (cells[i],)
+        groups.setdefault(image, []).append(member)
+        if i + 1 < last:
+            stack.append((key, support, i + 1))  # the next sibling, after ...
+            stack.append((image, member, i + 1))  # ... every extension of member
+    return list(groups.values())
 
 
 def extract_generators(
@@ -228,13 +238,17 @@ def extract_generators(
 def verify_generators(f: GradedPolynomial, gens: GeneratorSet) -> bool:
     """Degree-wise check that the generator set generates the annihilator.
 
-    For every degree j up to the socle degree, the span of all degree-j
-    monomial multiples of the generators must lie in the kernel of the
-    catalecticant C_j (C_j kills every pivot row of its echelon) and have
-    its dimension.  One degree above, the span must be the full operator
-    space.  The span's vectors and the columns of C_j both follow the pinned
-    lex basis of degree j.  A generator set in another number of variables
-    than ``f`` is refused.
+    The degree-j multiples of the set's one-term generators are the unit
+    vectors of U, the degree-j monomials those generators divide, and
+    span(U + B) = span(U) + (B projected off U).  So for every degree j up
+    to the socle degree, the catalecticant C_j must have zero columns at
+    U and kill every pivot row of the other generators' span over the
+    remaining monomials (the rest), and |U| plus the pivot count must be
+    dim ker C_j, that is, the rest must exceed the pivots by rank C_j.  One
+    degree above, the span must be the whole rest.  U is read from the
+    generator set, not from the complex of ``f``, and each C_j is built
+    and ranked here, so the check is independent of extraction.  A
+    generator set in another number of variables than ``f`` is refused.
     """
     n, d = f.num_vars, f.degree
     if gens.num_vars != n:
@@ -242,12 +256,31 @@ def verify_generators(f: GradedPolynomial, gens: GeneratorSet) -> bool:
     generators = gens.polynomials()
     if any(degree == 0 for degree, _ in generators):
         return False  # a constant kills no nonzero f
-    for j in range(1, d + 1):
-        pivots = _ideal_span(generators, basis_index(n, j), j).pivots
+    units = {m for _, poly in generators if len(poly.terms) == 1 for m in poly.terms}
+    others = [(degree, poly) for degree, poly in generators if len(poly.terms) > 1]
+    rest = [(0,) * n]
+    for j in range(1, d + 2):
+        # a monomial is in the rest when it is no unit and each of its
+        # facets is, that is, when each variable it uses lowers it into
+        # the rest below
+        raised: dict = {}
+        for m in rest:
+            for k, e in enumerate(m):
+                up = m[:k] + (e + 1,) + m[k + 1 :]
+                raised[up] = raised.get(up, 0) + 1
+        rest = [m for m, c in raised.items() if c == n - m.count(0) and m not in units]
+        index = {m: t for t, m in enumerate(rest)}
+        pivots = _ideal_span(others, index, j).pivots
+        if j > d:
+            return len(pivots) == len(rest)
         c_j = catalecticant_matrix(f, j)
-        rows = list(map(c_j.row, range(c_j.rows)))
-        images = (sum(map(mul, row, v)) for _, v in pivots for row in rows)
-        if any(images) or len(pivots) != c_j.cols - rank(c_j):
+        basis = enumerate_exponents(n, j)
+        nonzero = [c for c in range(c_j.cols) if any(c_j.column(c))]
+        at = [index.get(basis[c]) for c in nonzero]
+        if None in at:
+            return False  # C_j is nonzero at a column of U
+        rows = [[row[c] for c in nonzero] for row in map(c_j.row, range(c_j.rows))]
+        vectors = [[v[t] for t in at] for _, v in pivots]
+        images = (sum(map(mul, row, v)) for v in vectors for row in rows)
+        if any(images) or len(rest) - len(pivots) != rank(c_j):
             return False
-    top = _ideal_span(generators, basis_index(n, d + 1), d + 1)
-    return len(top.pivots) == monomial_count(n, d + 1)

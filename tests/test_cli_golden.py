@@ -32,6 +32,11 @@ P38 = (
     "x1^3*x3 + x1^2*x2^2 + x1*x2^2*x3 + x1*x2*x3^2 + x1*x3^3 + x2^4"
     " + x2^3*x3 + x2^2*x3^2 + x2*x3^3 + x3^4"
 )
+# the full Perazzo forms at (2,5), (2,6) and (3,3), the paper's own forms,
+# as `perazzo build` prints them
+PERAZZO_2_5 = "x1*u2^4 + x2*u1*u2^3 + x3*u1^2*u2^2 + x4*u1^3*u2 + x5*u1^4"
+PERAZZO_2_6 = "x1*u2^5 + x2*u1*u2^4 + x3*u1^2*u2^3 + x4*u1^3*u2^2 + x5*u1^4*u2 + x6*u1^5"
+PERAZZO_3_3 = "x1*u3^2 + x2*u2*u3 + x3*u2^2 + x4*u1*u3 + x5*u1*u2 + x6*u1^2"
 # cell complexes: one with every variable used, one with a u-block, one with
 # an unused variable (a degree-1 non-face)
 CW_FORMS = {
@@ -113,6 +118,23 @@ GOLDEN = {
     "generators-power-u": (
         ["generators", "--poly", "u1^3", "--nvars", "2", "--uvars", "1"],
         "c07fe3f7305374443739383c5a5950e9c1003d84b10ddb168063c98fa47a5ac6",
+    ),
+    # recorded while verification still wrote every degree's span over the
+    # whole degree-j basis, and the image scan was a Gray-code walk
+    "generators-perazzo-2-5": (
+        ["generators", "--poly", PERAZZO_2_5, "--nvars", "7", "--uvars", "2"],
+        "e2a7c8bd9036d245b64dd81b26f99db59a18efca3bc09c447e17ef520a1b45c3",
+    ),
+    # (2,6) needs a raised subset guard, which the CLI then had no flag for:
+    # recorded through cli.main with extract_generators' guard at 2^17
+    "generators-perazzo-2-6": (
+        ["generators", "--poly", PERAZZO_2_6, "--nvars", "8", "--uvars", "2",
+         "--max-subsets", "131072"],
+        "98e01b5c85073e5315a86d3df6aaed9d47515c2c5c08e53a6abe98eced2f3df2",
+    ),
+    "generators-perazzo-3-3": (
+        ["generators", "--poly", PERAZZO_3_3, "--nvars", "9", "--uvars", "3"],
+        "8f46c77909820b01faa19df03e025ff30eb4a55c76989d7f3d4180e512b08886",
     ),
     "locus-maps-3-4": (
         ["locus", "maps", "--n", "3", "--d", "4"],
@@ -254,7 +276,8 @@ HELP = {
     (): "66d6df71a97072f62d4d19e0fc5f24b4ea291a713c7a56aa659116f40d8b127f",
     ("hilbert",): "a40e5f79e827cf50ef0fbddd4eabb512e93f14c6f41d8063056a7387a889144f",
     ("ann",): "afc226e3b9a5f7f531f7d0dd30eab9d64abfb25d90995e003dbfa62a3fbef984",
-    ("generators",): "9dc15cb9aea92c4638ec2c3f4ee17c1724ce9fe88656d8517bbb38a833b3b40d",
+    # re-recorded when the row gained --max-subsets
+    ("generators",): "a4898bc0065ec87f3810ef5293fe161386d00465f320c8e5e327184a9b6ef26f",
     ("cw",): "fb82350ec420e6fe56f35a14b0653c7e92b7c46983127a9e8953498162016c29",
     ("locus",): "1578224d5b94bda48f6797e055b6c257648472ad103754d5d8e9a202689c64a9",
     ("locus", "enumerate"): "a30694ae0a3d6aa7276f8070989d74ab0d127daced5ec55aa9fa9cddabe3aa06",

@@ -386,6 +386,32 @@ def test_image_classes_equal_the_brute_force_partition(kind):
             assert contraction_image_classes(f, j) == _brute_force_classes(f, j)
 
 
+def test_image_classes_come_in_scan_order_without_a_sort():
+    # the lex-order walk fills each class sorted and makes the classes in
+    # the order of their first members, so nothing is sorted afterwards
+    tree = ast.parse(Path(generators.__file__).read_text())
+    scan = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "contraction_image_classes"
+    )
+    calls = [node.func for node in ast.walk(scan) if isinstance(node, ast.Call)]
+    names = {getattr(func, "id", None) for func in calls}
+    names |= {getattr(func, "attr", None) for func in calls}
+    assert not {"sorted", "sort"} & names
+
+
+def test_a_signed_form_needs_the_whole_key_width():
+    # X2 and X1 send x1*x2 - 3*x2^2 to x1 - 3*x2 and x2: the rows of C_1
+    # have absolute sums 4 and 1, so the keys take 3-bit digits.  With 2-bit
+    # digits the images' difference (-4, 1) would pack to -4 + 1 * 4 = 0
+    # and merge the two one-cell classes.
+    f = parse_polynomial("x1*x2 - 3*x2^2", 2)
+    classes = contraction_image_classes(f, 1)
+    assert classes == [[((0, 1),)], [((0, 1), (1, 0))], [((1, 0),)]]
+    assert classes == _brute_force_classes(f, 1)
+
+
 @pytest.mark.parametrize("kind", sorted(_COEFFICIENTS))
 def test_cells_per_degree_are_the_nonzero_catalecticant_columns(kind):
     # the identity a skipped scan's subset guard reads: X^c sends the terms
@@ -580,7 +606,7 @@ def test_default_guard_refuses_the_larger_full_perazzo_forms(n, d, subsets):
         extract_generators(build_full_perazzo(n, d))
     assert str(refused.value) == (
         f"subset count {subsets} exceeds the guard of 65536; "
-        "raise max_subsets to override"
+        "raise --max-subsets / max_subsets to override"
     )
 
 
@@ -717,3 +743,81 @@ def test_unverified_supports_miss_one_dimension_per_failing_degree(d, shortfalls
             key = tuple(sorted(missing.items()))
             counted[key] = counted.get(key, 0) + 1
     assert counted == shortfalls
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3)])
+def test_full_perazzo_generators_verify(n, d):
+    f = build_full_perazzo(n, d)
+    assert verify_generators(f, extract_generators(f, max_subsets=1 << 17))
+
+
+def _oracle_verdict(f, gens):
+    """Whether the set generates the annihilator, by the oracles alone:
+    every generator contracts ``f`` to zero, and its multiples miss no
+    dimension of any ker C_j, j = 1 .. d+1."""
+    polys = [(degree, p.terms) for degree, p in gens.polynomials()]
+    for _, terms in polys:
+        image = {}
+        for e, c in terms.items():
+            for r, x in contract_dual(e, f.terms).items():
+                image[r] = image.get(r, 0) + c * x
+        if any(image.values()):
+            return False
+    return not missing_annihilator_dimensions(f.num_vars, f.terms, polys)
+
+
+def _mutations(f, gens):
+    """The set itself, then: one generator dropped, a non-annihilating
+    monomial added (also in place of a difference), a difference pair
+    scaled on one side and on both, and a redundant one-term generator
+    added."""
+    n, d = gens.num_vars, gens.socle_degree
+    powers, nonfaces, pairs = gens.powers, dict(gens.nonface_monomials), gens.differences
+
+    def with_(powers=powers, nonfaces=nonfaces, pairs=pairs):
+        return GeneratorSet(n, d, powers, nonfaces, pairs)
+
+    def scaled(p, s):
+        return graded_polynomial(n, {e: s * c for e, c in p.terms.items()})
+
+    yield gens
+    for j in sorted(pairs):
+        yield with_(pairs={**pairs, j: pairs[j][1:]})
+    for j in sorted(nonfaces):
+        yield with_(nonfaces={**nonfaces, j: sorted(nonfaces[j])[1:]})
+    for power in sorted(powers):
+        yield with_(powers=powers - {power})
+    cells = complex_of(f).layers
+    for j in range(1, d + 1):
+        cell = cells[j][0]  # every cell is a non-annihilating monomial
+        yield with_(nonfaces={**nonfaces, j: {*nonfaces.get(j, ()), cell}})
+    for j in sorted(pairs):
+        # in place of a difference, one of its cells: the span dimensions
+        # can all match, as for the paper's quadric
+        cell = min(pairs[j][0][0].terms)
+        yield with_(
+            nonfaces={**nonfaces, j: {*nonfaces.get(j, ()), cell}},
+            pairs={**pairs, j: pairs[j][1:]},
+        )
+    for j in sorted(pairs):
+        (left, right), *others = pairs[j]
+        yield with_(pairs={**pairs, j: ((scaled(left, 2), right), *others)})
+        half = Fraction(1, 2)
+        yield with_(pairs={**pairs, j: ((scaled(left, half), scaled(right, half)), *others)})
+    for j in sorted(nonfaces):
+        m = min(nonfaces[j])
+        multiple = (m[0] + 1, *m[1:])
+        yield with_(nonfaces={**nonfaces, j + 1: {*nonfaces.get(j + 1, ()), multiple}})
+    for k, e in sorted(powers):
+        yield with_(powers=powers | {(k, e + 1)})
+
+
+def test_verification_agrees_with_the_oracle_on_mutated_sets():
+    verdicts = []
+    for f in _seeded_forms("ones"):
+        for gens in _mutations(f, extract_generators(f)):
+            verdict = verify_generators(f, gens)
+            assert verdict == _oracle_verdict(f, gens)
+            verdicts.append(verdict)
+    # both verdicts occur often, so the comparison tests both ways
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50

@@ -276,6 +276,31 @@ def test_cli_conjecture_max_dim_just_over_limit(capsys):
     assert json.loads(capsys.readouterr().out)["trials"] == 1
 
 
+SYMMETRIC_CUBIC = "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4"
+
+
+def test_cli_generators_max_subsets_just_over_limit(capsys):
+    # the symmetric cubic's widest scan is in degree 2, where the six
+    # squarefree monomials survive: 2^6 = 64 subsets
+    argv = ["generators", "--poly", SYMMETRIC_CUBIC, "--nvars", "4", "--max-subsets"]
+    assert main(argv + ["63"]) == 2
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert "64 exceeds the guard of 63" in refused.err
+    assert "--max-subsets" in refused.err
+    assert main(argv + ["64"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_cli_generators_verifies_the_full_perazzo_form_at_2_6(capsys):
+    # its 17 degree-4 cells make 2^17 subsets, twice the default guard
+    assert main(["perazzo", "build", "--n", "2", "--d", "6"]) == 0
+    poly = json.loads(capsys.readouterr().out)["poly"]
+    argv = ["generators", "--poly", poly, "--nvars", "8", "--uvars", "2"]
+    assert main(argv + ["--max-subsets", "131072"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
 def test_cli_exit_codes():
     usage = _run_cli(["hilbert", "--nvars", "2"])  # missing --poly
     assert usage.returncode == 1

@@ -85,7 +85,11 @@ def _json(value, indent: str = "\n") -> str:
         return int.__repr__(value)
     inner = indent + "  "
     if isinstance(value, list):
-        items, brackets = [_json(item, inner) for item in value], "[]"
+        try:  # a list of str, the common leaf, encodes without recursion
+            items = list(map(encode_basestring_ascii, value))
+        except TypeError:
+            items = [_json(item, inner) for item in value]
+        brackets = "[]"
     elif isinstance(value, dict):
         for key in value:
             if not isinstance(key, str):

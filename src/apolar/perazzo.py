@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from itertools import compress
 from typing import Optional
 
 from .errors import DEFAULT_MATRIX_GUARD, check_guard
@@ -34,7 +35,7 @@ from .polynomials import (
     hilbert_vector,
     is_standard,
 )
-from .rng import substream
+from .rng import coin_of, nonzero_of, substream
 from .values import Record
 
 RESAMPLE_CAP = 50
@@ -123,10 +124,10 @@ def _draw_polynomial(rng, basis, num_vars: int) -> Optional[GradedPolynomial]:
     coefficients in [-9, 9] over the chosen support (again in lex order).
     The draw is homogeneous of the basis degree, nonzero and duplicate-free
     by construction, so it is built without :func:`graded_polynomial`."""
-    support = [m for m in basis if rng.coin()]
+    support = list(compress(basis, map(coin_of, rng.take(len(basis)))))
     if not support:
         return None
-    terms = {m: rng.nonzero_int(9) for m in support}
+    terms = dict(zip(support, map(nonzero_of, rng.take(len(support)))))
     return GradedPolynomial(num_vars, sum(basis[0]), terms)
 
 
@@ -254,7 +255,7 @@ def coefficient_one_minimality_check(
     counterexamples = []
     for trial in range(trials):
         rng = substream(seed, trial)
-        terms = {m: rng.nonzero_int(9) for m in support}
+        terms = dict(zip(support, map(nonzero_of, rng.take(len(support)))))
         h_random = hilbert_vector(GradedPolynomial(num_vars, ones.degree, terms), caps)
         verdict = compare_hilbert(h_ones, h_random)
         verdicts.append(verdict.value)

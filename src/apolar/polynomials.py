@@ -56,7 +56,7 @@ class GradedPolynomial(Record):
                 raise ValueError(
                     f"term {exps} is not of degree {degree} in {num_vars} variables"
                 )
-            if min(exps, default=0) < 0:
+            if exps and min(exps) < 0:
                 raise ValueError(f"term {exps} has a negative exponent")
             if not coeff:
                 raise ValueError(f"term {exps} has a zero coefficient")

@@ -34,7 +34,7 @@ from apolar.polynomials import (
     hilbert_vector,
     is_standard,
 )
-from apolar.rng import SplitMix64, mix, substream
+from apolar.rng import GAMMA, SplitMix64, mix, substream
 
 from oracles import full_perazzo_reference
 
@@ -232,15 +232,17 @@ def _draw_space(n, d):
 
 
 class CountingStream(SplitMix64):
-    """SplitMix64 that counts the 64-bit words it emits."""
+    """SplitMix64 that counts the 64-bit words it emits, read off the state's
+    advance (each word moves it by GAMMA mod 2**64), so that a batch counts
+    as many words as it returns."""
 
     def __init__(self, state):
         super().__init__(state)
-        self.words = 0
+        self._start = self._state
 
-    def next_u64(self):
-        self.words += 1
-        return super().next_u64()
+    @property
+    def words(self):
+        return (self._state - self._start) * pow(GAMMA, -1, 2**64) % 2**64
 
 
 def _counting_substream(seed, trial):

@@ -31,7 +31,6 @@ from .polynomials import (
     catalecticant_matrix,
     coefficient_one_poly,
     compare_hilbert,
-    graded_polynomial,
     hilbert_vector,
     is_standard,
 )
@@ -44,13 +43,14 @@ RESAMPLE_CAP = 50
 def build_full_perazzo(n: int, d: int) -> GradedPolynomial:
     """Coefficient-one full Perazzo polynomial in x-block-then-u-block
     variables: the i-th x-variable times the i-th degree-(d-1) u-monomial,
-    summed over the whole u-basis."""
+    summed over the whole u-basis.  The terms are homogeneous and distinct
+    by construction, so it is built without :func:`graded_polynomial`."""
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
     monomials = enumerate_exponents(n, d - 1)
     p = len(monomials)
     terms = {unit_power(p, i + 1, 1) + m: 1 for i, m in enumerate(monomials)}
-    return graded_polynomial(p + n, terms)
+    return GradedPolynomial(p + n, d, terms)
 
 
 def is_bihomogeneous(f: GradedPolynomial, x_count: int) -> Optional[tuple[int, int]]:

@@ -144,13 +144,21 @@ def catalecticant_matrix(f: GradedPolynomial, j: int) -> RationalMatrix:
     """
     if not 0 <= j <= f.degree:
         raise ValueError(f"degree {j} outside 0..{f.degree}")
+    low = min(j, f.degree - j)
+    return _scatter(f, j, [
+        (c.numerator if c.denominator == 1 else c, _hankel_positions(b, low)[j > low])
+        for b, c in f.terms.items()
+    ])
+
+
+def _scatter(f: GradedPolynomial, j: int, placed) -> RationalMatrix:
+    """C_j from (coefficient, flat positions in C_j) pairs, one per term of
+    ``f``, each coefficient already an ``int`` where integral."""
     rows = monomial_count(f.num_vars, f.degree - j)
     cols = monomial_count(f.num_vars, j)
-    low = min(j, f.degree - j)
     flat: list = [0] * (rows * cols)
-    for b, coeff in f.terms.items():
-        coeff = coeff.numerator if coeff.denominator == 1 else coeff
-        for pos in _hankel_positions(b, low)[j > low]:
+    for coeff, positions in placed:
+        for pos in positions:
             flat[pos] = coeff
     return RationalMatrix(rows, cols, tuple(flat))
 
@@ -167,6 +175,13 @@ def _hankel_positions(b: ExponentVector, low: int) -> tuple[tuple[int, ...], ...
             into_low.append(t * len(at_low) + s)
             into_high.append(s * len(at_high) + t)
     return tuple(into_low), tuple(into_high)
+
+
+@lru_cache(maxsize=1 << 13)
+def _term_positions(b: ExponentVector) -> tuple[tuple[int, ...], ...]:
+    """:func:`_hankel_positions` of x^b for every degree j = 0..|b|, in order."""
+    d = sum(b)
+    return tuple(_hankel_positions(b, min(j, d - j))[2 * j > d] for j in range(d + 1))
 
 
 def differentiation_form(f: GradedPolynomial) -> GradedPolynomial:
@@ -216,6 +231,9 @@ def hilbert_vector(f: GradedPolynomial, at_most=None) -> tuple[int, ...]:
 
     Entry j is the rank of its own catalecticant C_j; the symmetry of the
     result is a theorem, not an assumption, and the test suite checks it.
+    Each term's positions in every C_j are looked up once per form; C_j is
+    then scattered into a zero matrix and ranked before C_(j+1) is built,
+    so one dense catalecticant is held at a time.
     ``at_most``, one cap per degree, stops each rank early: entry j is then
     min(h_j, cap_j), exact, which compares with any c_j < cap_j as h_j does.
     """
@@ -224,7 +242,13 @@ def hilbert_vector(f: GradedPolynomial, at_most=None) -> tuple[int, ...]:
     caps = (None,) * (f.degree + 1) if at_most is None else tuple(at_most)
     if len(caps) != f.degree + 1:
         raise ValueError(f"need {f.degree + 1} rank caps, got {len(caps)}")
-    return tuple(rank(catalecticant_matrix(f, j), cap) for j, cap in enumerate(caps))
+    coefficients = [c.numerator if c.denominator == 1 else c for c in f.terms.values()]
+    by_degree = zip(*map(_term_positions, f.terms))
+    # C_j is a temporary: it is ranked and dropped before C_(j+1) is built
+    return tuple(
+        rank(_scatter(f, j, zip(coefficients, at)), cap)
+        for j, (at, cap) in enumerate(zip(by_degree, caps))
+    )
 
 
 def is_standard(f: GradedPolynomial) -> bool:

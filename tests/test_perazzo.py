@@ -70,6 +70,18 @@ def test_build_rejects_bad_spec():
         build_full_perazzo(2, 1)
 
 
+@pytest.mark.parametrize("n,d", [(2, 3), (2, 4), (3, 3)])
+def test_full_perazzo_equals_the_validated_coefficient_one_form(n, d):
+    # built straight from its terms with int 1: the same value, hash and
+    # printed coefficients as the normalizing constructor on its support
+    f = build_full_perazzo(n, d)
+    g = coefficient_one_poly(f.num_vars, f.support())
+    assert f == g and hash(f) == hash(g)
+    assert (f.num_vars, f.degree) == (g.num_vars, g.degree) == (n + monomial_count(n, d - 1), d)
+    assert {type(c) for c in f.terms.values()} == {int}
+    assert [str(f.terms[e]) for e in f.support()] == [str(g.terms[e]) for e in g.support()]
+
+
 def test_bihomogeneous():
     f = build_full_perazzo(2, 3)
     assert is_bihomogeneous(f, 3) == (1, 2)

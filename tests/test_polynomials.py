@@ -1,4 +1,5 @@
 import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,10 @@ from apolar.polynomials import (
     is_standard,
     monomial_poly,
 )
+import apolar.polynomials
 from apolar.linalg import rank
 from apolar.monomials import enumerate_exponents, monomial_count
+from apolar.perazzo import _standard_draw, build_full_perazzo
 from apolar.rng import substream
 
 from oracles import (
@@ -298,3 +301,65 @@ def test_hilbert_matches_independent_pairing_oracle(trial):
     n, d = 1 + rng.below(3), 1 + rng.below(4)
     f = random_polynomial(rng, n, d)
     assert hilbert_vector(f) == hilbert_via_pairing(n, f.terms)
+
+
+def _ranked_matrices(f, caps, monkeypatch):
+    """The (rows, cols, entries) of each matrix ``hilbert_vector(f, caps)``
+    hands to ``rank``, with the number of catalecticants built by then, and
+    how many earlier catalecticants were still alive as each was built."""
+
+    class Tracked(apolar.polynomials.RationalMatrix):
+        __slots__ = ("__weakref__",)
+
+    built, alive, ranked = [], [], []
+
+    def counting_matrix(*args):
+        alive.append(sum(r() is not None for r in built))
+        m = Tracked(*args)
+        built.append(weakref.ref(m))
+        return m
+
+    def spying_rank(m, at_most=None):
+        ranked.append(((m.rows, m.cols, m.entries), len(built)))
+        return rank(m, at_most)
+
+    monkeypatch.setattr(apolar.polynomials, "RationalMatrix", counting_matrix)
+    monkeypatch.setattr(apolar.polynomials, "rank", spying_rank)
+    h = hilbert_vector(f, caps)
+    monkeypatch.undo()
+    assert len(ranked) == f.degree + 1
+    return h, ranked, alive
+
+
+_ONE_WALK_FORMS = [
+    *(_standard_draw(3700, t, enumerate_exponents(6, 4), 6) for t in range(4)),
+    graded_polynomial(
+        3, {(2, 1, 0): Fraction(1, 2), (0, 1, 2): Fraction(-3, 4), (1, 1, 1): Fraction(4, 2)}
+    ),
+    monomial_poly(9, (0,) * 8 + (5,)),
+    *(build_full_perazzo(n, d) for n, d in [(2, 3), (2, 4), (3, 3)]),
+]
+
+
+@pytest.mark.parametrize("f", _ONE_WALK_FORMS)
+@pytest.mark.parametrize("capped", [False, True])
+def test_hilbert_vector_ranks_each_catalecticant_entry_for_entry(f, capped, monkeypatch):
+    # the matrices of the one walk over the terms are the single-degree
+    # catalecticants, entry types included, with and without rank caps
+    caps = [1 + (j % 2) for j in range(f.degree + 1)] if capped else None
+    h, ranked, _ = _ranked_matrices(f, caps, monkeypatch)
+    for j, ((rows, cols, entries), _) in enumerate(ranked):
+        expected = catalecticant_matrix(f, j)
+        assert (rows, cols, entries) == (expected.rows, expected.cols, expected.entries)
+        assert list(map(type, entries)) == list(map(type, expected.entries))
+        assert h[j] == rank(expected, caps[j] if capped else None)
+
+
+@pytest.mark.parametrize("f", _ONE_WALK_FORMS)
+def test_hilbert_vector_builds_one_catalecticant_at_a_time(f, monkeypatch):
+    # C_j is built only after C_(j-1) has been ranked and dropped: at the
+    # j-th rank call exactly j + 1 catalecticants of the form have been
+    # built, and none of the earlier ones is alive while the next is built
+    _, ranked, alive = _ranked_matrices(f, None, monkeypatch)
+    assert [built for _, built in ranked] == list(range(1, f.degree + 2))
+    assert alive == [0] * (f.degree + 1)

@@ -16,9 +16,9 @@ non-face of at most its degree, and extraction keeps them all, so their
 multiples are the non-cells' unit vectors: each degree's span lives over
 the degree-j cells alone (at degree d+1, over its minimal non-faces), and
 membership is unchanged, as span(U + B) = span(U) + (B projected off U).
-A degree stops once its span has (cells - rank C_j) pivots.  A degree
-saturated before its image scan skips it, and its subset guard reads the
-cell count, which equals the nonzero columns of C_j.  ``verify_generators``
+A degree stops once its span has (cells - rank C_j) pivots, and a degree
+saturated before its image scan skips it, guard and all: the subset guard
+counts only the subsets a scan walks.  ``verify_generators``
 checks degree-wise, independently of extraction, that a generator set
 generates the whole annihilator; it uses the same lemma with U the
 monomials that the set's own one-term generators divide.
@@ -119,13 +119,6 @@ def _ideal_span(generators: list, index: Mapping, j: int) -> Echelon:
     return span
 
 
-def _check_subsets(cells: int, max_subsets: int) -> None:
-    """Guard a scan of the 2^cells subsets; with no cells there is none."""
-    check_guard(
-        "subset count", cells and 1 << cells, max_subsets, "--max-subsets / max_subsets"
-    )
-
-
 def contraction_image_classes(
     f: GradedPolynomial,
     j: int,
@@ -159,7 +152,8 @@ def contraction_image_classes(
         if any(column):
             cells.append(m)
             columns.append(column)
-    _check_subsets(len(cells), max_subsets)
+    subsets = len(cells) and 1 << len(cells)  # with no cells there is no scan
+    check_guard("subset count", subsets, max_subsets, "--max-subsets / max_subsets")
     rows = [row for row in zip(*columns) if any(row)]
     scale = lcm(*(x.denominator for row in rows for x in row))
     width = int(scale * max((sum(map(abs, row)) for row in rows), default=0)).bit_length()
@@ -192,9 +186,10 @@ def extract_generators(
     Differences are searched in every degree up to the socle degree.  Every
     minimal non-face is kept, so a degree's span lives over its cells, and
     a degree stops once the span has (cells - rank C_j) pivots; a degree
-    saturated before its image scan skips it, and the subset guard reads
-    the cell count.  A top power outside the degree d+1 minimal non-faces
-    is a multiple of a kept non-face, so only the others are tried.
+    saturated before its image scan skips it, so the subset guard, checked
+    in the scan, bounds only the degrees scanned.  A top power outside the
+    degree d+1 minimal non-faces is a multiple of a kept non-face, so only
+    the others are tried.
     """
     if not f.is_coefficient_one():
         raise ValueError("generator extraction requires all coefficients equal to 1")
@@ -212,9 +207,7 @@ def extract_generators(
         index = {m: t for t, m in enumerate(cells)}
         span = _ideal_span(kept, index, j)
         pairs = []
-        if len(span.pivots) == full:
-            _check_subsets(len(cells), max_subsets)
-        else:
+        if len(span.pivots) < full:
             classes = contraction_image_classes(f, j, max_subsets)
             for left, right in (p for cls in classes for p in zip(cls, cls[1:])):
                 plus, minus = dict.fromkeys(left, 1), dict.fromkeys(right, 1)

@@ -264,7 +264,7 @@ def coefficient_one_minimality_check(
     return {
         "support": [format_monomial(m) for m in support],
         "num_vars": num_vars,
-        "standard": is_standard(ones),
+        "standard": h_ones[1:2] == (num_vars,),
         "hilbert_ones": list(h_ones),
         "seed": seed,
         "trials": trials,

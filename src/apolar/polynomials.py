@@ -84,7 +84,9 @@ def graded_polynomial(num_vars: int, terms: Mapping) -> GradedPolynomial:
         raise ValueError("need at least one variable")
     cleaned: dict[ExponentVector, Fraction] = {}
     for exps, coeff in terms.items():
-        key = tuple(int(e) for e in exps)
+        key = tuple(map(int, exps))
+        if key != tuple(exps):
+            raise ValueError(f"non-integral exponent in {tuple(exps)}")
         if len(key) != num_vars:
             raise ValueError(f"exponent vector {key} has wrong length")
         if any(e < 0 for e in key):

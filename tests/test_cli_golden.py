@@ -132,6 +132,12 @@ GOLDEN = {
          "--max-subsets", "131072"],
         "98e01b5c85073e5315a86d3df6aaed9d47515c2c5c08e53a6abe98eced2f3df2",
     ),
+    # the flagged entry's bytes at the default guard, which refused (2,6)
+    # while it still counted the subsets of degrees saturated before a scan
+    "generators-perazzo-2-6-default-guard": (
+        ["generators", "--poly", PERAZZO_2_6, "--nvars", "8", "--uvars", "2"],
+        "98e01b5c85073e5315a86d3df6aaed9d47515c2c5c08e53a6abe98eced2f3df2",
+    ),
     "generators-perazzo-3-3": (
         ["generators", "--poly", PERAZZO_3_3, "--nvars", "9", "--uvars", "3"],
         "8f46c77909820b01faa19df03e025ff30eb4a55c76989d7f3d4180e512b08886",

@@ -414,7 +414,7 @@ def test_a_signed_form_needs_the_whole_key_width():
 
 @pytest.mark.parametrize("kind", sorted(_COEFFICIENTS))
 def test_cells_per_degree_are_the_nonzero_catalecticant_columns(kind):
-    # the identity a skipped scan's subset guard reads: X^c sends the terms
+    # the identity that full = cells - rank C_j reads: X^c sends the terms
     # x^b with b >= c to distinct x^(b-c), so column c of C_j is nonzero
     # exactly when x^c divides the support, that is, when it is a cell
     for f in _seeded_forms(kind):
@@ -517,12 +517,11 @@ def test_extraction_passes_the_subset_guard_to_every_degree():
 
 def test_extraction_guards_a_degree_before_skipping_its_scan():
     # x1*x2^2 has two non-annihilating monomials (4 subsets) in degrees 1 and
-    # 2, and both degrees are saturated before their image scan
+    # 2, and both degrees are saturated before their image scan: no subset
+    # is walked, so the guard has nothing to refuse (re-recorded when the
+    # guard moved into the scan; it used to refuse with "subset count 4")
     f = parse_polynomial("x1*x2^2", 2)
-    with pytest.raises(GuardExceeded) as refused:
-        extract_generators(f, max_subsets=3)
-    assert "4 exceeds the guard of 3" in str(refused.value)
-    assert "max_subsets" in str(refused.value)
+    assert extract_generators(f, max_subsets=3) == extract_generators(f)
 
 
 def test_extraction_skips_the_scan_of_saturated_degrees(monkeypatch):
@@ -577,8 +576,9 @@ def test_extraction_output_is_pinned_on_standard_supports(n, d, standard, expect
 
 
 # SHA-256 of extract_generators(build_full_perazzo(n, d)).polynomials() with
-# the subset guard at 2^17, the paper's own forms; (2, 6) needs the raised
-# guard.  Computed before extraction wrote its spans over the cells only.
+# the subset guard at 2^17, the paper's own forms; (2, 6) then needed the
+# raised guard.  Computed before extraction wrote its spans over the cells
+# only.
 @pytest.mark.parametrize(
     "n,d,expected",
     [
@@ -598,9 +598,31 @@ def test_extraction_output_is_pinned_on_full_perazzo_forms(n, d, expected):
     assert digest.hexdigest() == expected
 
 
-@pytest.mark.parametrize(
-    "n,d,subsets", [(2, 6, 1 << 17), (3, 4, 1 << 24), (4, 3, 1 << 26)]
-)
+def test_default_guard_extracts_the_full_perazzo_form_at_2_6():
+    # only degree 2 (2^13 subsets) is scanned; degrees 3-5 are saturated
+    # before their scan, so their larger subset counts guard no work
+    f = build_full_perazzo(2, 6)
+    assert extract_generators(f) == extract_generators(f, max_subsets=1 << 17)
+
+
+def test_default_guard_extracts_the_full_perazzo_form_at_2_7():
+    # only degree 2 (2^15 subsets) is scanned; recorded with the guard at
+    # 2^21, where the degree-3 count then refused it
+    f = build_full_perazzo(2, 7)
+    gens = extract_generators(f)
+    digest = hashlib.sha256()
+    for degree, p in gens.polynomials():
+        terms = [(e, str(c)) for e, c in sorted(p.terms.items())]
+        digest.update(repr((degree, terms)).encode())
+    expected = "be285aa650b1ea7013d728b6356a08ce75d5820355e2bf08738377966560a928"
+    assert digest.hexdigest() == expected
+    assert verify_generators(f, gens)
+
+
+# the scanned degree 2 exceeds the guard; (2, 6), whose 2^17 came from a
+# degree saturated before its scan, was dropped when the guard moved into
+# the scan
+@pytest.mark.parametrize("n,d,subsets", [(3, 4, 1 << 24), (4, 3, 1 << 26)])
 def test_default_guard_refuses_the_larger_full_perazzo_forms(n, d, subsets):
     with pytest.raises(GuardExceeded) as refused:
         extract_generators(build_full_perazzo(n, d))

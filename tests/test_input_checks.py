@@ -157,6 +157,11 @@ CHECKS = {
         lambda: graded_polynomial(2, {(3, -1): 1}),
         "negative exponent in (3, -1)",
     ),
+    "graded_polynomial-non-integral-exponent": (
+        # int() would truncate it to x1^2, a degree-2 form from degree 3
+        lambda: graded_polynomial(2, {(2.5, 0.5): 1}),
+        "non-integral exponent in (2.5, 0.5)",
+    ),
     "GradedPolynomial-negative-exponent": (
         # of the right length and degree: would read as x1*x2 alone
         lambda: GradedPolynomial(2, 2, {(-1, 3): 1, (1, 1): 1}),

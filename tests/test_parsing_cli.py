@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -174,10 +175,12 @@ def test_roundtrip_with_u_block():
 
 
 def _run_cli(args):
+    env = {**os.environ, "PYTHONPATH": str(Path(apolar.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "apolar.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc
 
